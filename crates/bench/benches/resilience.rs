@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse_core::schemes::log_brc_urc::LogScheme;
-use rsse_core::schemes::CoverKind;
+use rsse_core::{RangeScheme, StorageConfig};
 use rsse_serve::{BreakerConfig, ResilientServer, RetryConfig, ServeConfig};
 use rsse_sse::{FaultInjectable, FaultPlan};
 use rsse_workload::gowalla_like;
@@ -54,7 +54,9 @@ fn bench_resilience(c: &mut Criterion) {
     let mut rng = ChaCha20Rng::seed_from_u64(5);
     let domain_size = 1u64 << 16;
     let dataset = gowalla_like(4_000, domain_size, &mut rng);
-    let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 4, &mut rng);
+    let (client, server) =
+        LogScheme::build_stored(&dataset, &StorageConfig::in_memory(4), &mut rng)
+            .expect("in-memory build cannot fail");
     let qs = server.into_query_server();
 
     // Same generator as the replay harness: bench and harness query
@@ -82,7 +84,12 @@ fn bench_resilience(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1));
     group.bench_function(BenchmarkId::new("raw", "k4"), |b| {
-        b.iter(|| qs.answer_many_strict(&queries).expect("in-memory"))
+        b.iter(|| {
+            qs.answer_many(&queries)
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
+                .expect("in-memory")
+        })
     });
     group.bench_function(BenchmarkId::new("resilient", "k4"), |b| {
         b.iter(|| {

@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use rsse_core::schemes::log_brc_urc::LogScheme;
-use rsse_core::schemes::{AnyScheme, CoverKind, SchemeKind};
+use rsse_core::schemes::{AnyScheme, SchemeKind};
+use rsse_core::{RangeScheme, StorageConfig};
 use rsse_cover::Range;
 use rsse_workload::{gowalla_like, usps_like};
 use std::time::Duration;
@@ -130,7 +131,8 @@ fn bench_search_sharded(c: &mut Criterion) {
         .map(|&bits| {
             let mut build_rng = ChaCha20Rng::seed_from_u64(7);
             let (client, server) =
-                LogScheme::build_sharded_with(&dataset, CoverKind::Brc, bits, &mut build_rng);
+                LogScheme::build_stored(&dataset, &StorageConfig::in_memory(bits), &mut build_rng)
+                    .expect("in-memory build cannot fail");
             (bits, client, server)
         })
         .collect();
@@ -147,12 +149,7 @@ fn bench_search_sharded(c: &mut Criterion) {
     for (bits, client, server) in &builds {
         group.bench_function(
             BenchmarkId::new("Logarithmic-BRC", format!("k{bits}")),
-            |b| {
-                b.iter(|| {
-                    use rsse_core::RangeScheme;
-                    client.query(server, query)
-                })
-            },
+            |b| b.iter(|| client.query(server, query)),
         );
     }
     group.finish();
@@ -177,7 +174,6 @@ fn bench_search_sharded(c: &mut Criterion) {
         let (_, client, server) = &builds[0];
         group.bench_function(BenchmarkId::new("sequential", "k0"), |b| {
             b.iter(|| {
-                use rsse_core::RangeScheme;
                 ranges
                     .iter()
                     .map(|&range| client.query(server, range))
@@ -189,8 +185,14 @@ fn bench_search_sharded(c: &mut Criterion) {
         let query_server = server.clone().into_query_server();
         group.bench_function(BenchmarkId::new("batched", format!("k{bits}")), |b| {
             b.iter(|| {
-                client
-                    .query_many(&query_server, &ranges)
+                let queries: Vec<_> = ranges
+                    .iter()
+                    .filter_map(|&range| client.trapdoor(range))
+                    .collect();
+                query_server
+                    .answer_many(&queries)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
                     .expect("in-memory server cannot fail")
             })
         });
@@ -209,7 +211,7 @@ fn bench_search_sharded(c: &mut Criterion) {
 /// * `search_persistent/answer_many/memory/k4` — the same batch on the
 ///   in-memory backend, for the paged-read overhead comparison.
 fn bench_search_persistent(c: &mut Criterion) {
-    use rsse_core::{QueryServer, RangeScheme, StorageConfig};
+    use rsse_core::QueryServer;
 
     let ids = [
         "search_persistent/cold_open/k4".to_string(),
@@ -227,7 +229,8 @@ fn bench_search_persistent(c: &mut Criterion) {
 
     let mut mem_rng = ChaCha20Rng::seed_from_u64(7);
     let (_, mem_server) =
-        LogScheme::build_sharded_with(&dataset, CoverKind::Brc, bits, &mut mem_rng);
+        LogScheme::build_stored(&dataset, &StorageConfig::in_memory(bits), &mut mem_rng)
+            .expect("in-memory build cannot fail");
     let mem_qs = mem_server.into_query_server();
 
     let mut disk_rng = ChaCha20Rng::seed_from_u64(7);
@@ -259,11 +262,27 @@ fn bench_search_persistent(c: &mut Criterion) {
     let file_qs = QueryServer::open_dir(&dir).expect("open saved index");
     group.bench_function(
         BenchmarkId::new("answer_many/file", format!("k{bits}")),
-        |b| b.iter(|| file_qs.answer_many_strict(&queries).expect("healthy disk")),
+        |b| {
+            b.iter(|| {
+                file_qs
+                    .answer_many(&queries)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("healthy disk")
+            })
+        },
     );
     group.bench_function(
         BenchmarkId::new("answer_many/memory", format!("k{bits}")),
-        |b| b.iter(|| mem_qs.answer_many_strict(&queries).expect("in-memory")),
+        |b| {
+            b.iter(|| {
+                mem_qs
+                    .answer_many(&queries)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("in-memory")
+            })
+        },
     );
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
@@ -285,7 +304,7 @@ fn bench_search_persistent(c: &mut Criterion) {
 /// Query outcomes are identical across all three — only residency and
 /// latency move.
 fn bench_search_persistent_budget(c: &mut Criterion) {
-    use rsse_core::{QueryServer, RangeScheme, StorageConfig};
+    use rsse_core::QueryServer;
 
     let labels = ["unbounded", "budget25", "budget5"];
     let ids = labels
@@ -331,7 +350,12 @@ fn bench_search_persistent_budget(c: &mut Criterion) {
     for (label, budget) in labels.iter().zip(budgets) {
         let qs = QueryServer::open_dir_with_budget(&dir, budget).expect("open saved index");
         group.bench_function(BenchmarkId::new("answer_many", *label), |b| {
-            b.iter(|| qs.answer_many_strict(&queries).expect("healthy disk"))
+            b.iter(|| {
+                qs.answer_many(&queries)
+                    .into_iter()
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("healthy disk")
+            })
         });
         let stats = qs.index().cache_stats();
         println!(

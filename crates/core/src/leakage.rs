@@ -125,7 +125,6 @@ mod tests {
     use crate::schemes::log_brc_urc::LogScheme;
     use crate::schemes::log_src::LogSrcScheme;
     use crate::schemes::testutil;
-    use crate::schemes::CoverKind;
     use crate::traits::RangeScheme;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
@@ -197,7 +196,7 @@ mod tests {
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(1);
         let range = Range::new(2, 7);
-        let (log, log_server) = LogScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
+        let (log, log_server) = LogScheme::build(&dataset, &mut rng);
         let (src, src_server) = LogSrcScheme::build(&dataset, &mut rng);
         let log_outcome = log.query(&log_server, range);
         let src_outcome = src.query(&src_server, range);

@@ -25,7 +25,7 @@
 //! # Quick example
 //!
 //! ```
-//! use rsse_core::{Dataset, Record, RangeScheme, schemes::CoverKind, schemes::log_brc_urc::LogScheme};
+//! use rsse_core::{Dataset, Record, RangeScheme, schemes::log_brc_urc::LogScheme};
 //! use rsse_cover::{Domain, Range};
 //! use rand::SeedableRng;
 //!
@@ -36,7 +36,7 @@
 //! ).unwrap();
 //!
 //! let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
-//! let (client, server) = LogScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
+//! let (client, server) = LogScheme::build(&dataset, &mut rng);
 //! let outcome = client.query(&server, Range::new(100, 200));
 //! let mut expected = dataset.matching_ids(Range::new(100, 200));
 //! let mut got = outcome.ids.clone();

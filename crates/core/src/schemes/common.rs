@@ -5,8 +5,7 @@ use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
 use rsse_cover::{Domain, Range};
 use rsse_sse::{
-    EncryptedIndex, IndexLookup, SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig,
-    StorageError,
+    IndexLookup, SearchToken, ShardedIndex, SseKey, SseScheme, StorageConfig, StorageError,
 };
 
 /// Token counts at or above this run the per-token searches on all cores.
@@ -56,7 +55,7 @@ pub fn clamp_query(domain: &Domain, range: Range) -> Option<Range> {
 /// whole query with its typed error — a failed block read is an error, not
 /// an empty group.
 ///
-/// Generic over the dictionary layout ([`EncryptedIndex`] or
+/// Generic over the dictionary layout (one `EncryptedIndex` arena or a
 /// [`ShardedIndex`]). Large token vectors — the Constant schemes expand a
 /// trapdoor into one token per domain value of the range — are searched in
 /// parallel; results are merged in token order either way, so the outcome
@@ -119,74 +118,23 @@ fn search_one<I: IndexLookup>(
 
 /// Builds an encrypted index from flat `(keyword, payload)` entries with
 /// fixed-size keywords and payloads — the BuildIndex fast path shared by
-/// the replication-based schemes.
+/// the replication-based schemes — on the backend `config` selects.
 ///
 /// Semantically equivalent to filling an [`rsse_sse::SseDatabase`], calling
-/// `shuffle_lists`, and running `SseScheme::build_index`, but without the
-/// byte-keyed `BTreeMap` and the two heap allocations per entry: entries
-/// are grouped by one cache-friendly sort of flat arrays, each group is
-/// shuffled with the same `(shuffle_key, keyword)`-keyed permutation, and
-/// the fixed-stride SSE build encrypts straight out of the payload arrays.
-pub fn grouped_fixed_index<const K: usize, const P: usize, R: RngCore + CryptoRng>(
-    key: &SseKey,
-    shuffle_key: &rsse_crypto::Key,
-    entries: Vec<([u8; K], [u8; P])>,
-    rng: &mut R,
-) -> EncryptedIndex {
-    SseScheme::build_index_fixed(key, &grouped_lists(shuffle_key, entries), rng)
-}
-
-/// Sharded variant of [`grouped_fixed_index`]: identical grouping, keyed
-/// shuffle and per-keyword encryption (and identical RNG consumption, so
-/// ciphertexts match byte-for-byte across `shard_bits` values), with the
-/// entries distributed over `2^shard_bits` in-memory label-prefix shards
-/// assembled in parallel.
-pub fn grouped_fixed_index_sharded<const K: usize, const P: usize, R: RngCore + CryptoRng>(
-    key: &SseKey,
-    shuffle_key: &rsse_crypto::Key,
-    entries: Vec<([u8; K], [u8; P])>,
-    shard_bits: u32,
-    rng: &mut R,
-) -> ShardedIndex {
-    grouped_fixed_index_stored(
-        key,
-        shuffle_key,
-        entries,
-        &StorageConfig::in_memory(shard_bits),
-        rng,
-    )
-    .expect("in-memory build cannot fail")
-}
-
-/// Storage-dispatching variant of [`grouped_fixed_index_sharded`]:
-/// identical grouping, keyed shuffle, per-keyword encryption and RNG
-/// consumption, with the shards assembled in memory or streamed straight to
-/// their serialized files as the [`StorageConfig`] backend selects.
+/// `shuffle_lists`, and running `SseScheme::build_index_stored`, but without
+/// the byte-keyed `BTreeMap` and the two heap allocations per entry:
+/// entries are grouped by one cache-friendly sort of flat arrays, each
+/// group is shuffled with the same `(shuffle_key, keyword)`-keyed
+/// permutation, and the fixed-stride SSE build encrypts straight out of the
+/// payload arrays. RNG consumption — and so every ciphertext byte — is
+/// identical across `shard_bits` values and backends.
 ///
 /// When the configuration carries a [`BuildBudget`](rsse_sse::BuildBudget),
-/// the sort-and-group runs through the external-memory spill/merge pipeline
-/// instead of in RAM — byte-identical output, peak RSS bounded by the
-/// budget rather than `entries.len()`.
-pub fn grouped_fixed_index_stored<const K: usize, const P: usize, R: RngCore + CryptoRng>(
-    key: &SseKey,
-    shuffle_key: &rsse_crypto::Key,
-    entries: Vec<([u8; K], [u8; P])>,
-    config: &StorageConfig,
-    rng: &mut R,
-) -> Result<ShardedIndex, StorageError> {
-    if config.build_budget.is_some() {
-        return rsse_sse::build_index_fixed_external(key, shuffle_key, entries, config, rng);
-    }
-    SseScheme::build_index_fixed_stored(key, &grouped_lists(shuffle_key, entries), config, rng)
-}
-
-/// Streaming variant of [`grouped_fixed_index_stored`] for budgeted
-/// builds: takes the `(keyword, payload)` entries as an iterator, so the
-/// caller never materializes the transformed corpus at all (the Log/SRC
-/// schemes generate entries on the fly from records × covering nodes).
-/// Falls back to collecting into the in-RAM grouped build when the
-/// configuration carries no budget.
-pub fn grouped_fixed_index_external<const K: usize, const P: usize, R: RngCore + CryptoRng>(
+/// the entries stream into the external-memory spill/merge pipeline instead
+/// and are never collected — byte-identical output, peak RSS bounded by
+/// the budget rather than the entry count. Without one they are collected
+/// and sorted in RAM; a `Vec` argument is reused and sorted in place.
+pub fn grouped_fixed_index<const K: usize, const P: usize, R: RngCore + CryptoRng>(
     key: &SseKey,
     shuffle_key: &rsse_crypto::Key,
     entries: impl IntoIterator<Item = ([u8; K], [u8; P])>,
@@ -196,10 +144,11 @@ pub fn grouped_fixed_index_external<const K: usize, const P: usize, R: RngCore +
     if config.build_budget.is_some() {
         return rsse_sse::build_index_fixed_external(key, shuffle_key, entries, config, rng);
     }
-    grouped_fixed_index_stored(key, shuffle_key, entries.into_iter().collect(), config, rng)
+    let lists = grouped_lists(shuffle_key, entries.into_iter().collect());
+    SseScheme::build_index_fixed_stored(key, &lists, config, rng)
 }
 
-/// The grouping core shared by the two builds above: sort flat entries by
+/// The in-RAM grouping core of [`grouped_fixed_index`]: sort flat entries by
 /// (keyword, payload) — groups become contiguous and the total order keeps
 /// the build deterministic — then apply the `(shuffle_key, keyword)`-keyed
 /// permutation that sets each list's final storage order, exactly as
@@ -295,7 +244,9 @@ mod tests {
         db.add(b"a".to_vec(), 1u64.to_le_bytes().to_vec());
         db.add(b"a".to_vec(), 2u64.to_le_bytes().to_vec());
         db.add(b"b".to_vec(), 3u64.to_le_bytes().to_vec());
-        let index = SseScheme::build_index(&key, &db, &mut rng);
+        let index =
+            SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(0), &mut rng)
+                .unwrap();
         let tokens = vec![
             SseScheme::trapdoor(&key, b"a"),
             SseScheme::trapdoor(&key, b"b"),

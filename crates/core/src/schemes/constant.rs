@@ -64,7 +64,7 @@ pub struct ConstantScheme {
 }
 
 /// Server-side state: the `O(n)`-entry encrypted index (sharded by label
-/// prefix when built through a `*_sharded` constructor) plus the (public)
+/// prefix as the build's `StorageConfig` selects) plus the (public)
 /// depth of the GGM tree, which the server needs to expand tokens.
 #[derive(Clone, Debug)]
 pub struct ConstantServer {
@@ -160,28 +160,6 @@ impl ConstantTrapdoor {
 }
 
 impl ConstantScheme {
-    /// Builds the scheme with an explicit covering technique and an
-    /// unsharded (single-arena) dictionary.
-    pub fn build_with<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        rng: &mut R,
-    ) -> (Self, ConstantServer) {
-        Self::build_sharded_with(dataset, kind, 0, rng)
-    }
-
-    /// Builds the scheme with an explicit covering technique and the
-    /// dictionary split into `2^shard_bits` in-memory label-prefix shards.
-    pub fn build_sharded_with<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, ConstantServer) {
-        Self::build_stored_with(dataset, kind, &StorageConfig::in_memory(shard_bits), rng)
-            .expect("in-memory build cannot fail")
-    }
-
     /// Builds the scheme with an explicit covering technique and the
     /// dictionary held by the storage backend `config` selects; on-disk
     /// builds also record the (public) GGM depth in a `constant.meta`
@@ -381,18 +359,6 @@ impl RangeScheme for ConstantScheme {
     type Server = ConstantServer;
     const NAME: &'static str = "Constant-BRC/URC";
 
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_with(dataset, CoverKind::Brc, rng)
-    }
-
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        Self::build_sharded_with(dataset, CoverKind::Brc, shard_bits, rng)
-    }
-
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         config: &StorageConfig,
@@ -454,7 +420,13 @@ mod tests {
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(1);
         for kind in [CoverKind::Brc, CoverKind::Urc] {
-            let (client, server) = ConstantScheme::build_with(&dataset, kind, &mut rng);
+            let (client, server) = ConstantScheme::build_stored_with(
+                &dataset,
+                kind,
+                &StorageConfig::default(),
+                &mut rng,
+            )
+            .unwrap();
             for range in testutil::query_mix(dataset.domain().size()) {
                 let outcome = client.query(&server, range);
                 testutil::assert_exact(&dataset, range, &outcome);
@@ -466,7 +438,13 @@ mod tests {
     fn uniform_dataset_exhaustive_small_ranges() {
         let dataset = testutil::uniform_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(2);
-        let (client, server) = ConstantScheme::build_with(&dataset, CoverKind::Urc, &mut rng);
+        let (client, server) = ConstantScheme::build_stored_with(
+            &dataset,
+            CoverKind::Urc,
+            &StorageConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
         for lo in (0..256u64).step_by(17) {
             let hi = (lo + 30).min(255);
             let range = Range::new(lo, hi);
@@ -487,8 +465,14 @@ mod tests {
     fn trapdoor_is_logarithmic_and_urc_is_position_independent() {
         let dataset = testutil::uniform_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(4);
-        let (brc, _) = ConstantScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
-        let (urc, _) = ConstantScheme::build_with(&dataset, CoverKind::Urc, &mut rng);
+        let (brc, _) = ConstantScheme::build(&dataset, &mut rng);
+        let (urc, _) = ConstantScheme::build_stored_with(
+            &dataset,
+            CoverKind::Urc,
+            &StorageConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
         // Two same-size ranges at different positions: URC token count must
         // be identical, BRC's may differ.
         let a = urc.trapdoor(Range::new(1, 30)).unwrap();
@@ -536,7 +520,7 @@ mod tests {
     fn structural_leakage_reports_per_node_result_counts() {
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(7);
-        let (client, server) = ConstantScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
+        let (client, server) = ConstantScheme::build(&dataset, &mut rng);
         // [0,7] (one node, level 3) contains 16 of the tuples (values 2..7).
         let leakage = structural_leakage(&client, &server, Range::new(0, 7));
         assert_eq!(leakage, vec![(3, 16)]);
@@ -560,7 +544,7 @@ mod tests {
         let dataset = testutil::skewed_dataset();
         let dir = testutil::TempDir::new("constant-disk");
         let mut rng_mem = ChaCha20Rng::seed_from_u64(21);
-        let (_, mem_server) = ConstantScheme::build_with(&dataset, CoverKind::Brc, &mut rng_mem);
+        let (_, mem_server) = ConstantScheme::build(&dataset, &mut rng_mem);
         let mut rng_disk = ChaCha20Rng::seed_from_u64(21);
         let (client, disk_server) = ConstantScheme::build_stored_with(
             &dataset,

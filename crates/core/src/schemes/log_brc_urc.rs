@@ -12,8 +12,7 @@
 use crate::dataset::Dataset;
 use crate::metrics::{IndexStats, QueryStats};
 use crate::schemes::common::{
-    clamp_query, grouped_fixed_index_external, grouped_fixed_index_stored, search_ids,
-    try_search_ids, CoverKind,
+    clamp_query, grouped_fixed_index, search_ids, try_search_ids, CoverKind,
 };
 use crate::server::QueryServer;
 use crate::traits::{MergeInput, QueryOutcome, RangeScheme};
@@ -36,8 +35,8 @@ pub struct LogScheme {
 }
 
 /// Server-side state: one encrypted multimap with `O(n log m)` entries,
-/// split into `2^k` label-prefix shards (`k = 0`, a single arena, unless
-/// built through a `*_sharded` constructor).
+/// split into the `2^k` label-prefix shards the build's `StorageConfig`
+/// selected (`k = 0`, a single arena, by default).
 #[derive(Clone, Debug)]
 pub struct LogServer {
     index: ShardedIndex,
@@ -128,7 +127,7 @@ impl LogScheme {
                     .into_iter()
                     .map(move |node| (node.keyword(), payload))
             });
-            grouped_fixed_index_external(&key, &shuffle_key, entries, config, rng)?
+            grouped_fixed_index(&key, &shuffle_key, entries, config, rng)?
         } else {
             // Unpadded fast path: flat (node keyword, id) entries, grouped
             // by one sort — no per-entry allocations before encryption.
@@ -139,7 +138,7 @@ impl LogScheme {
                     entries.push((node.keyword(), payload));
                 }
             }
-            grouped_fixed_index_stored(&key, &shuffle_key, entries, config, rng)?
+            grouped_fixed_index(&key, &shuffle_key, entries, config, rng)?
         };
         Ok((
             Self {
@@ -150,84 +149,6 @@ impl LogScheme {
             },
             LogServer { index },
         ))
-    }
-
-    /// Builds the scheme with an explicit covering technique, optional
-    /// padding of the multimap to `n · (⌈log m⌉ + 1)` entries, and the
-    /// dictionary split into `2^shard_bits` in-memory label-prefix shards.
-    pub fn build_full_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        pad: bool,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, LogServer) {
-        Self::build_full_stored(
-            dataset,
-            kind,
-            pad,
-            &StorageConfig::in_memory(shard_bits),
-            rng,
-        )
-        .expect("in-memory build cannot fail")
-    }
-
-    /// Builds the scheme with an explicit covering technique and optional
-    /// padding, with an unsharded (single-arena) dictionary.
-    pub fn build_full<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        pad: bool,
-        rng: &mut R,
-    ) -> (Self, LogServer) {
-        Self::build_full_sharded(dataset, kind, pad, 0, rng)
-    }
-
-    /// Builds the scheme with the given covering technique (no padding).
-    pub fn build_with<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        rng: &mut R,
-    ) -> (Self, LogServer) {
-        Self::build_full(dataset, kind, false, rng)
-    }
-
-    /// Builds the scheme with the given covering technique and a
-    /// `2^shard_bits`-way sharded dictionary (no padding).
-    pub fn build_sharded_with<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        kind: CoverKind,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, LogServer) {
-        Self::build_full_sharded(dataset, kind, false, shard_bits, rng)
-    }
-
-    /// Issues many range queries against a [`QueryServer`] over this
-    /// scheme's dictionary, one batched server pass per query, returning
-    /// outcomes in query order (out-of-domain queries come back empty).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's typed [`StorageError`] if a disk-backed
-    /// index failed to resolve a probe mid-batch (see
-    /// [`QueryServer::answer_many`]).
-    pub fn query_many(
-        &self,
-        server: &QueryServer,
-        ranges: &[Range],
-    ) -> Result<Vec<QueryOutcome>, StorageError> {
-        let token_vectors: Vec<Option<Vec<SearchToken>>> =
-            ranges.iter().map(|&range| self.trapdoor(range)).collect();
-        let present: Vec<Vec<SearchToken>> = token_vectors.iter().flatten().cloned().collect();
-        let mut answered = server.answer_many_strict(&present)?.into_iter();
-        Ok(token_vectors
-            .into_iter()
-            .map(|tokens| match tokens {
-                Some(_) => answered.next().expect("one answer per present query"),
-                None => QueryOutcome::default(),
-            })
-            .collect())
     }
 
     /// The covering technique this client uses.
@@ -298,18 +219,6 @@ impl LogScheme {
 impl RangeScheme for LogScheme {
     type Server = LogServer;
     const NAME: &'static str = "Logarithmic-BRC/URC";
-
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_with(dataset, CoverKind::Brc, rng)
-    }
-
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        Self::build_sharded_with(dataset, CoverKind::Brc, shard_bits, rng)
-    }
 
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
@@ -443,7 +352,14 @@ mod tests {
         let mut rng = ChaCha20Rng::seed_from_u64(1);
         for dataset in [testutil::skewed_dataset(), testutil::uniform_dataset()] {
             for kind in [CoverKind::Brc, CoverKind::Urc] {
-                let (client, server) = LogScheme::build_with(&dataset, kind, &mut rng);
+                let (client, server) = LogScheme::build_full_stored(
+                    &dataset,
+                    kind,
+                    false,
+                    &StorageConfig::default(),
+                    &mut rng,
+                )
+                .unwrap();
                 for range in testutil::query_mix(dataset.domain().size()) {
                     let outcome = client.query(&server, range);
                     testutil::assert_exact(&dataset, range, &outcome);
@@ -467,7 +383,14 @@ mod tests {
     fn padded_build_hides_dataset_size_detail_and_still_answers() {
         let mut rng = ChaCha20Rng::seed_from_u64(3);
         let dataset = testutil::skewed_dataset();
-        let (client, server) = LogScheme::build_full(&dataset, CoverKind::Brc, true, &mut rng);
+        let (client, server) = LogScheme::build_full_stored(
+            &dataset,
+            CoverKind::Brc,
+            true,
+            &StorageConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(
             LogScheme::index_stats(&server).entries,
             dataset.len() * (dataset.domain().bits() as usize + 1)
@@ -480,8 +403,15 @@ mod tests {
     fn query_size_is_logarithmic_and_urc_uniform() {
         let dataset = testutil::uniform_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(4);
-        let (brc, _) = LogScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
-        let (urc, _) = LogScheme::build_with(&dataset, CoverKind::Urc, &mut rng);
+        let (brc, _) = LogScheme::build(&dataset, &mut rng);
+        let (urc, _) = LogScheme::build_full_stored(
+            &dataset,
+            CoverKind::Urc,
+            false,
+            &StorageConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
         for len in [5u64, 17, 60, 128] {
             let t1 = urc.trapdoor(Range::new(3, 3 + len - 1)).unwrap();
             let t2 = urc.trapdoor(Range::new(100, 100 + len - 1)).unwrap();
@@ -500,7 +430,7 @@ mod tests {
         // would not see this (covered in log_src tests).
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(5);
-        let (client, server) = LogScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
+        let (client, server) = LogScheme::build(&dataset, &mut rng);
         let range = Range::new(2, 7);
         let groups = client.result_partitioning(&server, range);
         assert!(groups.len() >= 2, "BRC covers [2,7] with multiple nodes");
@@ -516,7 +446,14 @@ mod tests {
         // No false positives: server work is log R + r.
         let dataset = testutil::uniform_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(6);
-        let (client, server) = LogScheme::build_with(&dataset, CoverKind::Urc, &mut rng);
+        let (client, server) = LogScheme::build_full_stored(
+            &dataset,
+            CoverKind::Urc,
+            false,
+            &StorageConfig::default(),
+            &mut rng,
+        )
+        .unwrap();
         let range = Range::new(10, 200);
         let outcome = client.query(&server, range);
         assert_eq!(outcome.stats.entries_touched, dataset.result_size(range));
@@ -550,7 +487,9 @@ mod tests {
             let dataset = Dataset::new(domain, records).unwrap();
             let mut rng = ChaCha20Rng::seed_from_u64(42);
             let kind = if kind_is_brc { CoverKind::Brc } else { CoverKind::Urc };
-            let (client, server) = LogScheme::build_with(&dataset, kind, &mut rng);
+            let config = StorageConfig::default();
+            let (client, server) =
+                LogScheme::build_full_stored(&dataset, kind, false, &config, &mut rng).unwrap();
             let hi = (lo + len - 1).min(127);
             let range = Range::new(lo, hi);
             let outcome = client.query(&server, range);

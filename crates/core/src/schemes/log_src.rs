@@ -12,9 +12,7 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::{IndexStats, QueryStats};
-use crate::schemes::common::{
-    clamp_query, grouped_fixed_index_external, grouped_fixed_index_stored, try_search_ids,
-};
+use crate::schemes::common::{clamp_query, grouped_fixed_index, try_search_ids};
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Range, Tdag};
@@ -31,8 +29,8 @@ pub struct LogSrcScheme {
     tdag: Tdag,
 }
 
-/// Server-side state: one encrypted multimap with `O(n log m)` entries
-/// (sharded by label prefix when built through a `*_sharded` constructor).
+/// Server-side state: one encrypted multimap with `O(n log m)` entries,
+/// sharded by label prefix as the build's `StorageConfig` selects.
 #[derive(Clone, Debug)]
 pub struct LogSrcServer {
     index: ShardedIndex,
@@ -69,30 +67,9 @@ impl rsse_sse::FaultInjectable for LogSrcServer {
 
 impl LogSrcScheme {
     /// Builds the scheme, optionally padding the multimap to
-    /// `n · (2⌈log m⌉ + 1)` entries.
-    pub fn build_full<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        pad: bool,
-        rng: &mut R,
-    ) -> (Self, LogSrcServer) {
-        Self::build_full_sharded(dataset, pad, 0, rng)
-    }
-
-    /// Sharded variant of [`build_full`](Self::build_full): the dictionary
-    /// is split into `2^shard_bits` in-memory label-prefix shards.
-    pub fn build_full_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        pad: bool,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, LogSrcServer) {
-        Self::build_full_stored(dataset, pad, &StorageConfig::in_memory(shard_bits), rng)
-            .expect("in-memory build cannot fail")
-    }
-
-    /// Storage-dispatching variant of [`build_full`](Self::build_full): the
-    /// dictionary lives on the backend `config` selects (in-memory arenas
-    /// or shard files streamed to disk during BuildIndex).
+    /// `n · (2⌈log m⌉ + 1)` entries, with the dictionary on the backend
+    /// `config` selects (in-memory arenas or shard files streamed to disk
+    /// during BuildIndex).
     pub fn build_full_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         pad: bool,
@@ -126,7 +103,7 @@ impl LogSrcScheme {
                     .into_iter()
                     .map(move |node| (node.keyword(), payload))
             });
-            grouped_fixed_index_external(&key, &shuffle_key, entries, config, rng)?
+            grouped_fixed_index(&key, &shuffle_key, entries, config, rng)?
         } else {
             // Unpadded fast path: flat (TDAG keyword, id) entries grouped by
             // one sort, keyed-shuffled per keyword inside the helper.
@@ -137,7 +114,7 @@ impl LogSrcScheme {
                     entries.push((node.keyword(), payload));
                 }
             }
-            grouped_fixed_index_stored(&key, &shuffle_key, entries, config, rng)?
+            grouped_fixed_index(&key, &shuffle_key, entries, config, rng)?
         };
         Ok((Self { key, tdag }, LogSrcServer { index }))
     }
@@ -159,18 +136,6 @@ impl LogSrcScheme {
 impl RangeScheme for LogSrcScheme {
     type Server = LogSrcServer;
     const NAME: &'static str = "Logarithmic-SRC";
-
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_full(dataset, false, rng)
-    }
-
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        Self::build_full_sharded(dataset, false, shard_bits, rng)
-    }
 
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
@@ -290,7 +255,9 @@ mod tests {
     fn padded_build_still_answers_queries() {
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(5);
-        let (client, server) = LogSrcScheme::build_full(&dataset, true, &mut rng);
+        let (client, server) =
+            LogSrcScheme::build_full_stored(&dataset, true, &StorageConfig::default(), &mut rng)
+                .unwrap();
         let range = Range::new(0, 63);
         testutil::assert_complete(&dataset, range, &client.query(&server, range));
         assert_eq!(

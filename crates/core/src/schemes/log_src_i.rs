@@ -21,8 +21,7 @@
 use crate::dataset::{Dataset, Record};
 use crate::metrics::{IndexStats, QueryStats};
 use crate::schemes::common::{
-    clamp_query, decode_value_span, encode_value_span_array, grouped_fixed_index_external,
-    grouped_fixed_index_stored, try_search_ids,
+    clamp_query, decode_value_span, encode_value_span_array, grouped_fixed_index, try_search_ids,
 };
 use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
@@ -40,8 +39,8 @@ pub struct LogSrcIScheme {
     tdag2: Tdag,
 }
 
-/// Server-side state: the two encrypted indexes (each sharded by label
-/// prefix when built through [`LogSrcIScheme::build_impl_sharded`]).
+/// Server-side state: the two encrypted indexes, each sharded by label
+/// prefix as the build's `StorageConfig` selects.
 #[derive(Clone, Debug)]
 pub struct LogSrcIServer {
     index1: ShardedIndex,
@@ -83,125 +82,6 @@ impl rsse_sse::FaultInjectable for LogSrcIServer {
 }
 
 impl LogSrcIScheme {
-    /// Builds both indexes with unsharded (single-arena) dictionaries.
-    pub fn build_impl<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        rng: &mut R,
-    ) -> (Self, LogSrcIServer) {
-        Self::build_impl_sharded(dataset, 0, rng)
-    }
-
-    /// Builds both indexes, each split into `2^shard_bits` in-memory
-    /// label-prefix shards.
-    pub fn build_impl_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, LogSrcIServer) {
-        Self::build_impl_stored(dataset, &StorageConfig::in_memory(shard_bits), rng)
-            .expect("in-memory build cannot fail")
-    }
-
-    /// Builds both indexes on the backend `config` selects; with an
-    /// on-disk backend `I1` and `I2` are streamed into the
-    /// [`I1_SUBDIR`](LogSrcIServer::I1_SUBDIR) /
-    /// [`I2_SUBDIR`](LogSrcIServer::I2_SUBDIR) subdirectories of the
-    /// configured directory.
-    pub fn build_impl_stored<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        config: &StorageConfig,
-        rng: &mut R,
-    ) -> Result<(Self, LogSrcIServer), StorageError> {
-        let domain = *dataset.domain();
-        let chain = KeyChain::generate(rng);
-        let key1 = SseScheme::key_from(chain.derive(b"sse-i1"));
-        let key2 = SseScheme::key_from(chain.derive(b"sse-i2"));
-        let shuffle_key = chain.derive(b"shuffle");
-
-        // Sort tuples by value; shuffle ties so the position of a tuple
-        // within its value group is independent of its id.
-        let mut sorted: Vec<Record> = dataset.sorted_by_value();
-        let mut start = 0usize;
-        while start < sorted.len() {
-            let value = sorted[start].value;
-            let mut end = start;
-            while end < sorted.len() && sorted[end].value == value {
-                end += 1;
-            }
-            permute::keyed_shuffle(&shuffle_key, &value.to_le_bytes(), &mut sorted[start..end]);
-            start = end;
-        }
-
-        // TDAG1 over the domain indexes (value, position-span) documents.
-        let tdag1 = Tdag::new(domain);
-        let mut entries1: Vec<([u8; 13], [u8; 24])> = Vec::new();
-        let mut i = 0usize;
-        while i < sorted.len() {
-            let value = sorted[i].value;
-            let mut j = i;
-            while j < sorted.len() && sorted[j].value == value {
-                j += 1;
-            }
-            let payload = encode_value_span_array(value, i as u64, (j - 1) as u64);
-            for node in tdag1.covering_nodes(value) {
-                entries1.push((node.keyword(), payload));
-            }
-            i = j;
-        }
-        let index1 = grouped_fixed_index_stored(
-            &key1,
-            &chain.derive(b"shuffle-i1"),
-            entries1,
-            &config.subdir(LogSrcIServer::I1_SUBDIR),
-            rng,
-        )?;
-
-        // TDAG2 over positions 0..n indexes the tuples themselves. This is
-        // the corpus-sized index, so it streams entries into the grouped
-        // build: with a build budget set, nothing n·log n-sized is ever
-        // collected (the value-sorted record array itself stays resident —
-        // a scheme-level floor documented in ARCHITECTURE.md).
-        let position_domain = Domain::new(sorted.len().max(1) as u64);
-        let tdag2 = Tdag::new(position_domain);
-        let entries2 = sorted.iter().enumerate().flat_map(|(position, record)| {
-            let payload = record.id_payload_array();
-            tdag2
-                .covering_nodes(position as u64)
-                .into_iter()
-                .map(move |node| (node.keyword(), payload))
-        });
-        let index2 = match grouped_fixed_index_external(
-            &key2,
-            &chain.derive(b"shuffle-i2"),
-            entries2,
-            &config.subdir(LogSrcIServer::I2_SUBDIR),
-            rng,
-        ) {
-            Ok(index2) => index2,
-            Err(error) => {
-                // I2 failed after I1 was durably written: unwind I1 so a
-                // failed build never leaves half a two-index server behind.
-                if let rsse_sse::StorageBackend::OnDisk(dir) = &config.backend {
-                    rsse_sse::storage::cleanup_partial_index(
-                        &dir.join(LogSrcIServer::I1_SUBDIR),
-                        1usize << config.shard_bits,
-                    );
-                    let _ = std::fs::remove_dir(dir);
-                }
-                return Err(error);
-            }
-        };
-        Ok((
-            Self {
-                key1,
-                key2,
-                tdag1,
-                tdag2,
-            },
-            LogSrcIServer { index1, index2 },
-        ))
-    }
-
     /// First-stage trapdoor: the SRC token over `TDAG1` for the query range.
     pub fn trapdoor_stage1(&self, range: Range) -> Option<SearchToken> {
         let clamped = clamp_query(self.tdag1.domain(), range)?;
@@ -248,24 +128,104 @@ impl RangeScheme for LogSrcIScheme {
     type Server = LogSrcIServer;
     const NAME: &'static str = "Logarithmic-SRC-i";
 
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_impl(dataset, rng)
-    }
-
-    fn build_sharded<R: RngCore + CryptoRng>(
-        dataset: &Dataset,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> (Self, Self::Server) {
-        Self::build_impl_sharded(dataset, shard_bits, rng)
-    }
-
+    /// Builds both indexes on the backend `config` selects; with an
+    /// on-disk backend `I1` and `I2` are streamed into the
+    /// [`I1_SUBDIR`](LogSrcIServer::I1_SUBDIR) /
+    /// [`I2_SUBDIR`](LogSrcIServer::I2_SUBDIR) subdirectories of the
+    /// configured directory.
     fn build_stored<R: RngCore + CryptoRng>(
         dataset: &Dataset,
         config: &StorageConfig,
         rng: &mut R,
     ) -> Result<(Self, Self::Server), StorageError> {
-        Self::build_impl_stored(dataset, config, rng)
+        let domain = *dataset.domain();
+        let chain = KeyChain::generate(rng);
+        let key1 = SseScheme::key_from(chain.derive(b"sse-i1"));
+        let key2 = SseScheme::key_from(chain.derive(b"sse-i2"));
+        let shuffle_key = chain.derive(b"shuffle");
+
+        // Sort tuples by value; shuffle ties so the position of a tuple
+        // within its value group is independent of its id.
+        let mut sorted: Vec<Record> = dataset.sorted_by_value();
+        let mut start = 0usize;
+        while start < sorted.len() {
+            let value = sorted[start].value;
+            let mut end = start;
+            while end < sorted.len() && sorted[end].value == value {
+                end += 1;
+            }
+            permute::keyed_shuffle(&shuffle_key, &value.to_le_bytes(), &mut sorted[start..end]);
+            start = end;
+        }
+
+        // TDAG1 over the domain indexes (value, position-span) documents.
+        let tdag1 = Tdag::new(domain);
+        let mut entries1: Vec<([u8; 13], [u8; 24])> = Vec::new();
+        let mut i = 0usize;
+        while i < sorted.len() {
+            let value = sorted[i].value;
+            let mut j = i;
+            while j < sorted.len() && sorted[j].value == value {
+                j += 1;
+            }
+            let payload = encode_value_span_array(value, i as u64, (j - 1) as u64);
+            for node in tdag1.covering_nodes(value) {
+                entries1.push((node.keyword(), payload));
+            }
+            i = j;
+        }
+        let index1 = grouped_fixed_index(
+            &key1,
+            &chain.derive(b"shuffle-i1"),
+            entries1,
+            &config.subdir(LogSrcIServer::I1_SUBDIR),
+            rng,
+        )?;
+
+        // TDAG2 over positions 0..n indexes the tuples themselves. This is
+        // the corpus-sized index, so it streams entries into the grouped
+        // build: with a build budget set, nothing n·log n-sized is ever
+        // collected (the value-sorted record array itself stays resident —
+        // a scheme-level floor documented in ARCHITECTURE.md).
+        let position_domain = Domain::new(sorted.len().max(1) as u64);
+        let tdag2 = Tdag::new(position_domain);
+        let entries2 = sorted.iter().enumerate().flat_map(|(position, record)| {
+            let payload = record.id_payload_array();
+            tdag2
+                .covering_nodes(position as u64)
+                .into_iter()
+                .map(move |node| (node.keyword(), payload))
+        });
+        let index2 = match grouped_fixed_index(
+            &key2,
+            &chain.derive(b"shuffle-i2"),
+            entries2,
+            &config.subdir(LogSrcIServer::I2_SUBDIR),
+            rng,
+        ) {
+            Ok(index2) => index2,
+            Err(error) => {
+                // I2 failed after I1 was durably written: unwind I1 so a
+                // failed build never leaves half a two-index server behind.
+                if let rsse_sse::StorageBackend::OnDisk(dir) = &config.backend {
+                    rsse_sse::storage::cleanup_partial_index(
+                        &dir.join(LogSrcIServer::I1_SUBDIR),
+                        1usize << config.shard_bits,
+                    );
+                    let _ = std::fs::remove_dir(dir);
+                }
+                return Err(error);
+            }
+        };
+        Ok((
+            Self {
+                key1,
+                key2,
+                tdag1,
+                tdag2,
+            },
+            LogSrcIServer { index1, index2 },
+        ))
     }
 
     /// Fast reopen of a persisted two-index server: the owner state is a
@@ -282,7 +242,7 @@ impl RangeScheme for LogSrcIScheme {
         match &config.backend {
             rsse_sse::StorageBackend::InMemory => Self::build_stored(dataset, config, rng),
             rsse_sse::StorageBackend::OnDisk(dir) => {
-                // Exactly the key-material draws build_impl_stored makes
+                // Exactly the key-material draws build_stored makes
                 // before it reads the dataset.
                 let chain = KeyChain::generate(rng);
                 let key1 = SseScheme::key_from(chain.derive(b"sse-i1"));
@@ -534,7 +494,7 @@ mod tests {
         let mut rng_mem = ChaCha20Rng::seed_from_u64(31);
         let (_, mem_server) = LogSrcIScheme::build(&dataset, &mut rng_mem);
         let mut rng_disk = ChaCha20Rng::seed_from_u64(31);
-        let (client, disk_server) = LogSrcIScheme::build_impl_stored(
+        let (client, disk_server) = LogSrcIScheme::build_stored(
             &dataset,
             &StorageConfig::on_disk(0, dir.path()),
             &mut rng_disk,

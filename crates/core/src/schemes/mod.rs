@@ -2,8 +2,9 @@
 //! plain per-value SSE baseline.
 //!
 //! Every scheme follows the same client/server split and implements
-//! [`RangeScheme`](crate::traits::RangeScheme); schemes with configuration
-//! knobs additionally expose `build_with`-style constructors. The
+//! [`RangeScheme`](crate::traits::RangeScheme); schemes with their own
+//! parameters additionally expose one inherent constructor taking them
+//! (`build_full_stored`, `build_stored_with`, `build_with`). The
 //! [`any`] module offers a runtime-dispatched wrapper used by the
 //! experiment harness and the examples.
 

@@ -402,10 +402,6 @@ impl RangeScheme for PbScheme {
     type Server = PbServer;
     const NAME: &'static str = "PB (Li et al.)";
 
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_with(dataset, DEFAULT_BLOOM_FP_RATE, rng)
-    }
-
     /// PB has no encrypted dictionary, so `shard_bits` does not apply; an
     /// on-disk backend persists the Bloom-filter tree (durability) while
     /// the served tree stays memory-resident — see

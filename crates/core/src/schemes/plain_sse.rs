@@ -18,7 +18,9 @@ use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
 use rsse_crypto::KeyChain;
-use rsse_sse::{EncryptedIndex, SearchToken, SseDatabase, SseKey, SseScheme, StorageError};
+use rsse_sse::{
+    SearchToken, ShardedIndex, SseDatabase, SseKey, SseScheme, StorageConfig, StorageError,
+};
 
 /// Owner-side state of the per-value SSE scheme.
 #[derive(Clone, Debug)]
@@ -27,10 +29,11 @@ pub struct PlainSseScheme {
     domain: Domain,
 }
 
-/// Server-side state: one `O(n)`-entry encrypted multimap.
+/// Server-side state: one `O(n)`-entry encrypted multimap in a single
+/// in-memory arena (a `k = 0` [`ShardedIndex`]).
 #[derive(Clone, Debug)]
 pub struct PlainSseServer {
-    index: EncryptedIndex,
+    index: ShardedIndex,
 }
 
 fn value_keyword(value: u64) -> [u8; 9] {
@@ -73,7 +76,17 @@ impl RangeScheme for PlainSseScheme {
     type Server = PlainSseServer;
     const NAME: &'static str = "SSE (per-value)";
 
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
+    /// The per-value baseline keeps one in-memory arena: `shard_bits` and
+    /// the budgets do not apply, and an on-disk request is rejected with
+    /// [`StorageError::Unsupported`] before anything is built.
+    fn build_stored<R: RngCore + CryptoRng>(
+        dataset: &Dataset,
+        config: &StorageConfig,
+        rng: &mut R,
+    ) -> Result<(Self, Self::Server), StorageError> {
+        if config.is_on_disk() {
+            return Err(StorageError::Unsupported(Self::NAME));
+        }
         let domain = *dataset.domain();
         let chain = KeyChain::generate(rng);
         let key = SseScheme::key_from(chain.derive(b"sse"));
@@ -82,8 +95,8 @@ impl RangeScheme for PlainSseScheme {
             db.add(value_keyword(record.value).to_vec(), record.id_payload());
         }
         db.shuffle_lists(&chain.derive(b"shuffle"));
-        let index = SseScheme::build_index(&key, &db, rng);
-        (Self { key, domain }, PlainSseServer { index })
+        let index = SseScheme::build_index_stored(&key, &db, &StorageConfig::default(), rng)?;
+        Ok((Self { key, domain }, PlainSseServer { index }))
     }
 
     /// The per-value baseline keeps its dictionary in memory

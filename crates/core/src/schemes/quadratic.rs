@@ -15,7 +15,7 @@ use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Range};
 use rsse_sse::{
-    padding, EncryptedIndex, SearchToken, SseDatabase, SseKey, SseScheme, StorageError,
+    padding, SearchToken, ShardedIndex, SseDatabase, SseKey, SseScheme, StorageConfig, StorageError,
 };
 
 /// Largest domain for which Quadratic will agree to build an index. The
@@ -30,10 +30,11 @@ pub struct QuadraticScheme {
     domain: Domain,
 }
 
-/// Server-side state of the Quadratic scheme.
+/// Server-side state of the Quadratic scheme: one in-memory arena (a
+/// `k = 0` [`ShardedIndex`]).
 #[derive(Clone, Debug)]
 pub struct QuadraticServer {
-    index: EncryptedIndex,
+    index: ShardedIndex,
 }
 
 fn range_keyword(range: Range) -> Vec<u8> {
@@ -73,7 +74,8 @@ impl QuadraticScheme {
             let target = padding::quadratic_padding_target(dataset.len(), domain.size());
             padding::pad_to(&mut db, target, 8);
         }
-        let index = SseScheme::build_index(&key, &db, rng);
+        let index = SseScheme::build_index_stored(&key, &db, &StorageConfig::default(), rng)
+            .expect("in-memory build cannot fail");
         (Self { key, domain }, QuadraticServer { index })
     }
 
@@ -88,13 +90,22 @@ impl RangeScheme for QuadraticScheme {
     type Server = QuadraticServer;
     const NAME: &'static str = "Quadratic";
 
-    fn build<R: RngCore + CryptoRng>(dataset: &Dataset, rng: &mut R) -> (Self, Self::Server) {
-        Self::build_with(dataset, false, rng)
+    /// Quadratic's dictionary is always one in-memory arena: `shard_bits`
+    /// and the budgets do not apply, and an on-disk request is rejected
+    /// with [`StorageError::Unsupported`] before anything is built.
+    fn build_stored<R: RngCore + CryptoRng>(
+        dataset: &Dataset,
+        config: &StorageConfig,
+        rng: &mut R,
+    ) -> Result<(Self, Self::Server), StorageError> {
+        if config.is_on_disk() {
+            return Err(StorageError::Unsupported(Self::NAME));
+        }
+        Ok(Self::build_with(dataset, false, rng))
     }
 
-    /// Quadratic's dictionary is always an in-memory arena
-    /// (`IndexLookup::Error = Infallible`), so the fallible path cannot
-    /// actually fail.
+    /// Quadratic's dictionary is always in memory, so the fallible path
+    /// cannot actually fail.
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError> {
         let Some(token) = self.trapdoor(range) else {
             return Ok(QueryOutcome::default());

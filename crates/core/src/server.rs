@@ -159,8 +159,8 @@ pub fn assemble_outcome(
 /// # Examples
 ///
 /// ```
-/// use rsse_core::{Dataset, Record, RangeScheme};
-/// use rsse_core::schemes::{CoverKind, log_brc_urc::LogScheme};
+/// use rsse_core::{Dataset, Record, RangeScheme, StorageConfig};
+/// use rsse_core::schemes::log_brc_urc::LogScheme;
 /// use rsse_cover::{Domain, Range};
 /// use rand::SeedableRng;
 ///
@@ -171,16 +171,17 @@ pub fn assemble_outcome(
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(7);
 ///
 /// // Build with a 2^4-way sharded dictionary and stand up the server.
-/// let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 4, &mut rng);
+/// let config = StorageConfig::in_memory(4);
+/// let (client, server) = LogScheme::build_stored(&dataset, &config, &mut rng).unwrap();
 /// let server = server.into_query_server();
 ///
 /// // A batch of concurrent range queries: one token vector each.
 /// let ranges = [Range::new(0, 100), Range::new(500, 800)];
 /// let queries: Vec<_> = ranges.iter().map(|&r| client.trapdoor(r).unwrap()).collect();
-/// let outcomes = server.answer_many_strict(&queries).unwrap();
+/// let outcomes = server.answer_many(&queries);
 ///
 /// for (range, outcome) in ranges.iter().zip(&outcomes) {
-///     let mut got = outcome.ids.clone();
+///     let mut got = outcome.as_ref().unwrap().ids.clone();
 ///     let mut expected = dataset.matching_ids(*range);
 ///     got.sort(); expected.sort();
 ///     assert_eq!(got, expected);
@@ -285,8 +286,7 @@ impl QueryServer {
     /// backoff, deadlines, per-shard circuit breakers) should serve through
     /// `rsse_serve::ResilientServer`, which wraps this server and keeps
     /// outcomes byte-identical. Callers that want all-or-nothing collection
-    /// can `collect` the slots into a `Result<Vec<_>, _>` (that is
-    /// [`answer_many_strict`](Self::answer_many_strict)).
+    /// can `collect` the slots into a `Result<Vec<_>, _>`.
     pub fn answer_many(
         &self,
         queries: &[Vec<SearchToken>],
@@ -295,18 +295,6 @@ impl QueryServer {
             .par_iter()
             .map(|tokens| self.answer(tokens))
             .collect()
-    }
-
-    /// Answers a batch of concurrent queries, aborting on the first
-    /// storage fault: the all-or-nothing collection of
-    /// [`answer_many`](Self::answer_many) (which see for the per-query
-    /// retry semantics), for callers that treat any fault as fatal for
-    /// the whole batch.
-    pub fn answer_many_strict(
-        &self,
-        queries: &[Vec<SearchToken>],
-    ) -> Result<Vec<QueryOutcome>, StorageError> {
-        self.answer_many(queries).into_iter().collect()
     }
 
     /// Reopens one batched search endpoint per **active instance** of a
@@ -365,19 +353,32 @@ mod tests {
     use crate::schemes::common::search_ids;
     use crate::schemes::log_brc_urc::LogScheme;
     use crate::schemes::testutil;
+    use crate::schemes::testutil::TempDir;
     use crate::schemes::CoverKind;
-    use crate::traits::RangeScheme;
+    use crate::server::QueryServer;
+    use crate::traits::{QueryOutcome, RangeScheme};
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use rsse_cover::Range;
+    use rsse_sse::{SearchToken, StorageConfig, StorageError};
+
+    /// All-or-nothing collection of [`QueryServer::answer_many`].
+    fn answer_all(qs: &QueryServer, queries: &[Vec<SearchToken>]) -> Vec<QueryOutcome> {
+        qs.answer_many(queries)
+            .into_iter()
+            .collect::<Result<Vec<_>, StorageError>>()
+            .unwrap()
+    }
 
     #[test]
     fn answer_matches_per_token_search_ids() {
         let dataset = testutil::uniform_dataset();
         for bits in [0u32, 3, 6] {
             let mut rng = ChaCha20Rng::seed_from_u64(1);
+            let config = StorageConfig::in_memory(bits);
             let (client, server) =
-                LogScheme::build_sharded_with(&dataset, CoverKind::Urc, bits, &mut rng);
+                LogScheme::build_full_stored(&dataset, CoverKind::Urc, false, &config, &mut rng)
+                    .unwrap();
             let index = server.index().clone();
             let qs = server.into_query_server();
             assert_eq!(qs.shard_bits(), bits);
@@ -397,33 +398,20 @@ mod tests {
     fn answer_many_is_deterministic_and_query_ordered() {
         let dataset = testutil::skewed_dataset();
         let mut rng = ChaCha20Rng::seed_from_u64(2);
-        let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 4, &mut rng);
+        let (client, server) =
+            LogScheme::build_stored(&dataset, &StorageConfig::in_memory(4), &mut rng).unwrap();
         let qs = server.into_query_server();
         let ranges: Vec<Range> = (0..16u64).map(|i| Range::new(i, i + 7)).collect();
-        let queries: Vec<Vec<rsse_sse::SearchToken>> = ranges
+        let queries: Vec<Vec<SearchToken>> = ranges
             .iter()
             .map(|&r| client.trapdoor(r).unwrap())
             .collect();
-        let a = qs.answer_many_strict(&queries).unwrap();
-        let b = qs.answer_many_strict(&queries).unwrap();
+        let a = answer_all(&qs, &queries);
+        let b = answer_all(&qs, &queries);
         assert_eq!(a, b, "same batch must produce identical outcomes");
         for (outcome, range) in a.iter().zip(&ranges) {
             testutil::assert_exact(&dataset, *range, outcome);
         }
-    }
-
-    #[test]
-    fn query_many_handles_out_of_domain_queries() {
-        let dataset = testutil::skewed_dataset();
-        let mut rng = ChaCha20Rng::seed_from_u64(3);
-        let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 2, &mut rng);
-        let qs = server.into_query_server();
-        let ranges = [Range::new(2, 7), Range::new(1000, 2000), Range::new(0, 63)];
-        let outcomes = client.query_many(&qs, &ranges).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        testutil::assert_exact(&dataset, ranges[0], &outcomes[0]);
-        assert!(outcomes[1].is_empty(), "out-of-domain query must be empty");
-        testutil::assert_exact(&dataset, ranges[2], &outcomes[2]);
     }
 
     #[test]
@@ -432,15 +420,12 @@ mod tests {
         // RNG stream as the in-memory build), drop everything, reopen from
         // disk via QueryServer::open_dir, and serve answer_many with
         // results identical to the in-memory backend — no rebuild.
-        use crate::schemes::testutil::TempDir;
-        use crate::server::QueryServer;
-        use crate::traits::RangeScheme;
-        use rsse_sse::StorageConfig;
-
         let dataset = testutil::uniform_dataset();
         for bits in [0u32, 4] {
             let mut rng_mem = ChaCha20Rng::seed_from_u64(11);
-            let (_, mem_server) = LogScheme::build_sharded(&dataset, bits, &mut rng_mem);
+            let (_, mem_server) =
+                LogScheme::build_stored(&dataset, &StorageConfig::in_memory(bits), &mut rng_mem)
+                    .unwrap();
             let mem_qs = mem_server.into_query_server();
 
             let dir = TempDir::new("cold-open");
@@ -458,12 +443,12 @@ mod tests {
             assert_eq!(qs.shard_bits(), bits);
             assert!(qs.index().is_file_backed());
             let ranges: Vec<Range> = testutil::query_mix(dataset.domain().size());
-            let queries: Vec<Vec<rsse_sse::SearchToken>> = ranges
+            let queries: Vec<Vec<SearchToken>> = ranges
                 .iter()
                 .map(|&r| client.trapdoor(r).unwrap())
                 .collect();
-            let cold = qs.answer_many_strict(&queries).unwrap();
-            let warm = mem_qs.answer_many_strict(&queries).unwrap();
+            let cold = answer_all(&qs, &queries);
+            let warm = answer_all(&mem_qs, &queries);
             assert_eq!(
                 cold, warm,
                 "cold-open outcomes must match in-memory (k={bits})"
@@ -474,17 +459,50 @@ mod tests {
         }
     }
 
+    /// The two scan orders answer identically: the per-token scan of
+    /// `LogScheme::try_query` and the lockstep scan of
+    /// `QueryServer::answer` return the same ids in the same order and the
+    /// same `QueryStats`, query by query, on both backends, with and
+    /// without a cache budget. Out-of-domain ranges never reach the server
+    /// and come back empty.
     #[test]
-    fn query_many_agrees_with_single_query_path() {
+    fn try_query_agrees_with_query_server_answer() {
         let dataset = testutil::uniform_dataset();
-        let mut rng = ChaCha20Rng::seed_from_u64(4);
-        let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Urc, 5, &mut rng);
-        let single_server = server.clone();
-        let qs = server.into_query_server();
-        let ranges: Vec<Range> = testutil::query_mix(dataset.domain().size());
-        let batched = client.query_many(&qs, &ranges).unwrap();
-        for (range, outcome) in ranges.iter().zip(&batched) {
-            assert_eq!(outcome.ids, client.query(&single_server, *range).ids);
+        let mut ranges = testutil::query_mix(dataset.domain().size());
+        ranges.push(Range::new(1000, 2000));
+        let dir = TempDir::new("scan-orders");
+        for on_disk in [false, true] {
+            for budget in [None, Some(4096)] {
+                let mut config = if on_disk {
+                    StorageConfig::on_disk(5, dir.path().join(format!("{budget:?}")))
+                } else {
+                    StorageConfig::in_memory(5)
+                };
+                config.cache_budget = budget;
+                let mut rng = ChaCha20Rng::seed_from_u64(4);
+                let (client, server) = LogScheme::build_full_stored(
+                    &dataset,
+                    CoverKind::Urc,
+                    false,
+                    &config,
+                    &mut rng,
+                )
+                .unwrap();
+                assert_eq!(server.index().is_file_backed(), on_disk);
+                let qs = server.clone().into_query_server();
+                for &range in &ranges {
+                    let per_token = client.try_query(&server, range).unwrap();
+                    let Some(tokens) = client.trapdoor(range) else {
+                        assert!(per_token.is_empty(), "out-of-domain {range} must be empty");
+                        continue;
+                    };
+                    let lockstep = qs.answer(&tokens).unwrap();
+                    assert_eq!(
+                        per_token, lockstep,
+                        "{range} (disk={on_disk}, budget={budget:?})"
+                    );
+                }
+            }
         }
     }
 }

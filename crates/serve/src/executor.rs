@@ -26,8 +26,9 @@
 //!
 //! ## Control plane
 //!
-//! The resilience machinery threads through at per-probe granularity, same
-//! contract as the sequential [`QueryGuard`](crate::server) loop:
+//! The resilience machinery threads through at per-probe granularity: every
+//! unique probe runs the same guarded loop as the sequential scan
+//! (`ResilientServer::probe_guarded`), minus its per-attempt deadline check:
 //!
 //! * **Deadlines** are checked at round boundaries. An expired query is cut
 //!   with a typed partial outcome and simply stops demanding; probes it
@@ -49,7 +50,6 @@
 //! its *demanded* probes whether or not storage was read, so outcomes and
 //! the per-query leakage profile are byte-identical to sequential serving.
 
-use crate::breaker::Admit;
 use crate::error::{PartialOutcome, ServeError};
 use crate::server::{ResilientServer, ServeIndex, Trip};
 use rsse_core::server::{assemble_outcome, decode_hit_into};
@@ -317,7 +317,17 @@ fn run_lanes<'a, B: ServeIndex>(
     let probe_lane = |lane: &[u32], out: &mut Vec<(u32, RoundProbe<'a>)>| {
         for &p in lane {
             let (label, shard) = &probes[p as usize];
-            out.push((p, probe_guarded(server, *shard, label)));
+            let probe = match server.probe_guarded(*shard, label, None) {
+                Ok((span, absorbed)) => {
+                    server
+                        .counters
+                        .faults_absorbed
+                        .fetch_add(u64::from(absorbed), Ordering::Relaxed);
+                    RoundProbe::Resolved(span)
+                }
+                Err(trip) => RoundProbe::Tripped(trip),
+            };
+            out.push((p, probe));
         }
     };
 
@@ -370,56 +380,6 @@ fn run_lanes<'a, B: ServeIndex>(
         .into_iter()
         .map(|slot| slot.expect("every lane probe reports"))
         .collect()
-}
-
-/// The per-probe guarded loop: breaker admission, the storage probe, and
-/// budgeted retries with seeded backoff — the sequential `QueryGuard`
-/// contract minus its deadline check, which batches apply per query at
-/// round boundaries so one demander's deadline cannot cancel a shared
-/// probe.
-fn probe_guarded<'a, B: ServeIndex>(
-    server: &'a ResilientServer<B>,
-    shard: u32,
-    label: &Label,
-) -> RoundProbe<'a> {
-    let mut attempt: u32 = 0;
-    loop {
-        match server.breakers.admit(shard, server.clock.now()) {
-            Admit::Proceed | Admit::Trial => {}
-            Admit::FailFast { open_for } => {
-                return RoundProbe::Tripped(Trip::Breaker { shard, open_for });
-            }
-        }
-        match server.backend.probe(label) {
-            Ok(span) => {
-                server.breakers.record_success(shard);
-                server
-                    .counters
-                    .faults_absorbed
-                    .fetch_add(u64::from(attempt), Ordering::Relaxed);
-                return RoundProbe::Resolved(span);
-            }
-            Err(source) => {
-                server.breakers.record_failure(shard, server.clock.now());
-                attempt += 1;
-                if attempt >= server.config.retry.max_attempts.max(1) {
-                    return RoundProbe::Tripped(Trip::Exhausted {
-                        attempts: attempt,
-                        budget_empty: false,
-                        source,
-                    });
-                }
-                if !server.retry.try_consume() {
-                    return RoundProbe::Tripped(Trip::Exhausted {
-                        attempts: attempt,
-                        budget_empty: true,
-                        source,
-                    });
-                }
-                server.clock.sleep(server.retry.backoff(attempt));
-            }
-        }
-    }
 }
 
 /// Builds the typed deadline error for a query cut at a round boundary,

@@ -249,7 +249,7 @@ pub(crate) enum Trip {
 }
 
 /// The per-query guarded view of the backend: an [`IndexLookup`] whose
-/// `try_get` runs the deadline/breaker/retry loop around every probe.
+/// `try_get` runs [`ResilientServer::probe_guarded`] around every probe.
 struct QueryGuard<'a, B: ServeIndex> {
     server: &'a ResilientServer<B>,
     /// Absolute deadline on the server clock, if any.
@@ -274,52 +274,17 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
     type Error = StorageError;
 
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
-        let server = self.server;
-        let shard = server.backend.shard_of(label);
-        let mut attempt: u32 = 0;
-        loop {
-            if let Some(deadline) = self.deadline {
-                if server.clock.now() >= deadline {
-                    self.trip.set(Some(Trip::Deadline));
-                    return Err(Self::tripped());
-                }
+        let shard = self.server.backend.shard_of(label);
+        match self.server.probe_guarded(shard, label, self.deadline) {
+            Ok((span, absorbed)) => {
+                self.probes_resolved.set(self.probes_resolved.get() + 1);
+                self.faults_absorbed
+                    .set(self.faults_absorbed.get() + u64::from(absorbed));
+                Ok(span)
             }
-            match server.breakers.admit(shard, server.clock.now()) {
-                Admit::Proceed | Admit::Trial => {}
-                Admit::FailFast { open_for } => {
-                    self.trip.set(Some(Trip::Breaker { shard, open_for }));
-                    return Err(Self::tripped());
-                }
-            }
-            match server.backend.probe(label) {
-                Ok(span) => {
-                    server.breakers.record_success(shard);
-                    self.probes_resolved.set(self.probes_resolved.get() + 1);
-                    self.faults_absorbed
-                        .set(self.faults_absorbed.get() + u64::from(attempt));
-                    return Ok(span);
-                }
-                Err(source) => {
-                    server.breakers.record_failure(shard, server.clock.now());
-                    attempt += 1;
-                    if attempt >= server.config.retry.max_attempts.max(1) {
-                        self.trip.set(Some(Trip::Exhausted {
-                            attempts: attempt,
-                            budget_empty: false,
-                            source,
-                        }));
-                        return Err(Self::tripped());
-                    }
-                    if !server.retry.try_consume() {
-                        self.trip.set(Some(Trip::Exhausted {
-                            attempts: attempt,
-                            budget_empty: true,
-                            source,
-                        }));
-                        return Err(Self::tripped());
-                    }
-                    server.clock.sleep(server.retry.backoff(attempt));
-                }
+            Err(trip) => {
+                self.trip.set(Some(trip));
+                Err(Self::tripped())
             }
         }
     }
@@ -332,8 +297,8 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_core::schemes::{log_brc_urc::LogScheme, CoverKind};
-/// use rsse_core::{Dataset, RangeScheme, Record};
+/// use rsse_core::schemes::log_brc_urc::LogScheme;
+/// use rsse_core::{Dataset, RangeScheme, Record, StorageConfig};
 /// use rsse_cover::{Domain, Range};
 /// use rsse_serve::{ResilientServer, ServeConfig};
 ///
@@ -343,7 +308,8 @@ impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
 /// )
 /// .unwrap();
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(7);
-/// let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 4, &mut rng);
+/// let config = StorageConfig::in_memory(4);
+/// let (client, server) = LogScheme::build_stored(&dataset, &config, &mut rng).unwrap();
 /// let serve = ResilientServer::new(server.into_query_server(), ServeConfig::default());
 ///
 /// let tokens = client.trapdoor(Range::new(0, 100)).unwrap();
@@ -486,22 +452,67 @@ impl<B: ServeIndex> ResilientServer<B> {
         Ok(())
     }
 
-    /// The admitted-query core: runs the guarded scan against an absolute
-    /// deadline and translates any trip into its typed error.
-    fn serve_admitted(
+    /// The per-probe guarded loop shared by the sequential scan and the
+    /// batch executor: breaker admission, the storage probe, and budgeted
+    /// retries with seeded backoff. With a `deadline` (the sequential
+    /// path) the clock is checked before every attempt; batches pass
+    /// `None` and check deadlines per query at round boundaries, so one
+    /// demander's deadline cannot cancel a shared probe.
+    ///
+    /// Returns the resolved span and the number of failed attempts the
+    /// retries absorbed, or the [`Trip`] that aborted the probe. Breaker
+    /// transitions and retry-budget consumption are recorded here; the
+    /// callers count resolved probes and absorbed faults.
+    pub(crate) fn probe_guarded(
         &self,
-        tokens: &[SearchToken],
-        admitted_at: Duration,
+        shard: u32,
+        label: &Label,
         deadline: Option<Duration>,
-    ) -> Result<QueryOutcome, ServeError> {
-        let mut scratch = ScanScratch::default();
-        self.serve_admitted_with(tokens, admitted_at, deadline, &mut scratch)
+    ) -> Result<(Option<CipherSpan<'_>>, u32), Trip> {
+        let mut attempt: u32 = 0;
+        loop {
+            if let Some(deadline) = deadline {
+                if self.clock.now() >= deadline {
+                    return Err(Trip::Deadline);
+                }
+            }
+            match self.breakers.admit(shard, self.clock.now()) {
+                Admit::Proceed | Admit::Trial => {}
+                Admit::FailFast { open_for } => return Err(Trip::Breaker { shard, open_for }),
+            }
+            match self.backend.probe(label) {
+                Ok(span) => {
+                    self.breakers.record_success(shard);
+                    return Ok((span, attempt));
+                }
+                Err(source) => {
+                    self.breakers.record_failure(shard, self.clock.now());
+                    attempt += 1;
+                    if attempt >= self.config.retry.max_attempts.max(1) {
+                        return Err(Trip::Exhausted {
+                            attempts: attempt,
+                            budget_empty: false,
+                            source,
+                        });
+                    }
+                    if !self.retry.try_consume() {
+                        return Err(Trip::Exhausted {
+                            attempts: attempt,
+                            budget_empty: true,
+                            source,
+                        });
+                    }
+                    self.clock.sleep(self.retry.backoff(attempt));
+                }
+            }
+        }
     }
 
-    /// [`serve_admitted`](Self::serve_admitted) with caller-owned scan
-    /// scratch — batch paths keep one `ScanScratch` per worker thread so
-    /// the per-token ciphers and the decrypt buffer are reused across the
-    /// queries of a batch instead of reallocated per query.
+    /// The admitted-query core: runs the guarded scan against an absolute
+    /// deadline and translates any trip into its typed error. Batch paths
+    /// keep one `ScanScratch` per worker thread so the per-token ciphers
+    /// and the decrypt buffer are reused across the queries of a batch;
+    /// single queries pass a fresh one.
     fn serve_admitted_with(
         &self,
         tokens: &[SearchToken],
@@ -618,7 +629,12 @@ impl<B: ServeIndex> ResilientServer<B> {
         self.check_pressure(tenant)?;
         let admitted_at = self.clock.now();
         let deadline = deadline.or(self.config.default_deadline);
-        self.serve_admitted(tokens, admitted_at, deadline.map(|d| admitted_at + d))
+        self.serve_admitted_with(
+            tokens,
+            admitted_at,
+            deadline.map(|d| admitted_at + d),
+            &mut ScanScratch::default(),
+        )
     }
 
     /// Answers a batch of queries in parallel (rayon fan-out, outcomes in
@@ -720,7 +736,12 @@ impl<B: ServeIndex> ResilientServer<B> {
         plan.into_iter()
             .map(|pending| {
                 let admitted_at = self.clock.now();
-                let outcome = self.serve_admitted(&pending.tokens, admitted_at, pending.deadline);
+                let outcome = self.serve_admitted_with(
+                    &pending.tokens,
+                    admitted_at,
+                    pending.deadline,
+                    &mut ScanScratch::default(),
+                );
                 (pending.ticket, outcome)
             })
             .collect()

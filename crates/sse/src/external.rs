@@ -31,8 +31,8 @@
 //! payloads, seed). Entries then reach each shard in the same global
 //! (keyword, counter) order the in-RAM scatter uses. The property tests at
 //! the bottom of this module (and `tests/external_build.rs` at the scheme
-//! level) pin `build_external ≡ build_stored` byte for byte, for any
-//! budget, on both backends.
+//! level) pin budgeted ≡ unbudgeted `build_stored` byte for byte, for
+//! any budget, on both backends.
 //!
 //! **Crash safety.** Spill artifacts live in a dedicated directory
 //! ([`SPILL_DIR`] inside the index directory for on-disk builds, a unique
@@ -771,7 +771,7 @@ fn spill_dir_for(config: &StorageConfig, budget: &BuildBudget) -> PathBuf {
 }
 
 /// External-memory equivalent of the grouped fixed-stride build
-/// (`grouped_fixed_index_stored` in `rsse-core`): sorts `(keyword,
+/// (`grouped_fixed_index` in `rsse-core`): sorts `(keyword,
 /// payload)` entries on disk, then per keyword group applies the keyed
 /// shuffle, derives the trapdoor from `key`, and encrypts — byte-identical
 /// output to the in-RAM path at bounded peak RSS.

@@ -11,7 +11,7 @@
 //!
 //! `rsse-core` builds its scheme-specific leakage profiles on top of these.
 
-use crate::pibas::EncryptedIndex;
+use crate::sharded::ShardedIndex;
 
 /// `L1(D)`: what the server learns from the encrypted index alone —
 /// an upper bound on the number of entries (and their total byte size).
@@ -25,7 +25,7 @@ pub struct IndexLeakage {
 
 impl IndexLeakage {
     /// Extracts the `L1` leakage of an encrypted index.
-    pub fn of(index: &EncryptedIndex) -> Self {
+    pub fn of(index: &ShardedIndex) -> Self {
         Self {
             entries: index.len(),
             storage_bytes: index.storage_bytes(),
@@ -101,6 +101,7 @@ mod tests {
     use super::*;
     use crate::database::SseDatabase;
     use crate::pibas::SseScheme;
+    use crate::storage::StorageConfig;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
 
@@ -119,8 +120,9 @@ mod tests {
                 (i * 7).to_le_bytes().to_vec(),
             );
         }
-        let i1 = SseScheme::build_index(&key, &db1, &mut rng);
-        let i2 = SseScheme::build_index(&key, &db2, &mut rng);
+        let config = StorageConfig::in_memory(0);
+        let i1 = SseScheme::build_index_stored(&key, &db1, &config, &mut rng).unwrap();
+        let i2 = SseScheme::build_index_stored(&key, &db2, &config, &mut rng).unwrap();
         assert_eq!(IndexLeakage::of(&i1), IndexLeakage::of(&i2));
     }
 

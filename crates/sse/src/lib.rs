@@ -11,7 +11,7 @@
 //!   handed to `BuildIndex` (payloads are opaque byte strings; the range
 //!   schemes store encrypted tuple ids or (value, position-range) pairs);
 //! * [`SseScheme`] — the four algorithms of the paper's Section 2.2:
-//!   [`SseScheme::setup`], [`SseScheme::build_index`],
+//!   [`SseScheme::setup`], [`SseScheme::build_index_stored`],
 //!   [`SseScheme::trapdoor`], [`SseScheme::search`];
 //! * [`EncryptedIndex`] — the server-side dictionary of PRF-labelled,
 //!   individually encrypted entries;
@@ -52,8 +52,8 @@ pub use external::{build_index_external_with, build_index_fixed_external, SpillO
 pub use fault::{DelayHook, FaultInjectable, FaultInjector, FaultPlan};
 pub use leakage::{AccessPattern, IndexLeakage, QueryLeakage, SearchPattern};
 pub use pibas::{
-    CipherSpan, CorruptEntry, EncryptedIndex, IndexLookup, Label, LabelHasher, SearchError,
-    SearchToken, SseKey, SseScheme, TokenLabeler,
+    CipherSpan, EncryptedIndex, IndexLookup, Label, LabelHasher, SearchToken, SseKey, SseScheme,
+    TokenLabeler,
 };
 pub use sharded::{FaultShard, Shard, ShardedIndex};
 pub use storage::{

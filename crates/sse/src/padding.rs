@@ -96,7 +96,9 @@ mod tests {
         let mut db = SseDatabase::new();
         db.add(b"Breal".to_vec(), vec![7u8; 8]);
         pad_to(&mut db, 64, 8);
-        let index = SseScheme::build_index(&key, &db, &mut rng);
+        let index =
+            SseScheme::build_index_stored(&key, &db, &crate::StorageConfig::in_memory(0), &mut rng)
+                .unwrap();
         assert_eq!(index.len(), 64);
         let token = SseScheme::trapdoor(&key, b"Breal");
         assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 1);

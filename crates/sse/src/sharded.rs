@@ -34,10 +34,11 @@
 //!   [`storage`](crate::storage) module. [`ShardedIndex::save_to_dir`] and
 //!   [`ShardedIndex::open_dir`] persist an index across processes.
 //!
-//! With `k = 0` the in-memory index is a single shard whose arena and table
-//! are **byte-identical** to the unsharded [`EncryptedIndex`] build — the
-//! property test `unsharded_is_byte_identical_to_plain_arena` pins this, so
-//! the sharded type is a strict generalization, not a fork.
+//! With `k = 0` the in-memory index is a single [`EncryptedIndex`] arena
+//! holding **byte-identical** entries to the reference per-entry
+//! dictionary (`pibas::reference`) — the property test
+//! `unsharded_is_byte_identical_to_plain_arena` pins this, so the sharded
+//! type is a strict generalization, not a fork.
 
 use crate::database::SseDatabase;
 use crate::pibas::{
@@ -204,7 +205,7 @@ impl ShardStorage for FaultShard {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_sse::{SseDatabase, SseScheme};
+/// use rsse_sse::{SseDatabase, SseScheme, StorageConfig};
 ///
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
 /// let key = SseScheme::setup(&mut rng);
@@ -214,11 +215,12 @@ impl ShardStorage for FaultShard {
 /// }
 ///
 /// // 2^4 = 16 shards; entries distribute by label prefix.
-/// let index = SseScheme::build_index_sharded(&key, &db, 4, &mut rng);
+/// let index = SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(4), &mut rng)
+///     .unwrap();
 /// assert_eq!(index.shard_count(), 16);
 /// assert_eq!(index.len(), 100);
 ///
-/// // Same search API as the unsharded index.
+/// // Same search API at every shard count.
 /// let token = SseScheme::trapdoor(&key, b"w");
 /// assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 100);
 /// ```
@@ -228,13 +230,14 @@ impl ShardStorage for FaultShard {
 ///
 /// ```
 /// use rand::SeedableRng;
-/// use rsse_sse::{ShardedIndex, SseDatabase, SseScheme};
+/// use rsse_sse::{ShardedIndex, SseDatabase, SseScheme, StorageConfig};
 ///
 /// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(2);
 /// let key = SseScheme::setup(&mut rng);
 /// let mut db = SseDatabase::new();
 /// db.add(b"w".to_vec(), b"payload".to_vec());
-/// let index = SseScheme::build_index_sharded(&key, &db, 2, &mut rng);
+/// let index = SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(2), &mut rng)
+///     .unwrap();
 ///
 /// let dir = std::env::temp_dir().join(format!("rsse-doc-{}", std::process::id()));
 /// index.save_to_dir(&dir).unwrap();
@@ -711,8 +714,8 @@ fn scatter_members(bits: u32, chunks: &[KeywordChunk]) -> Vec<ShardJob> {
 ///
 /// Entries keep the global `(keyword, counter)` order within each shard, so
 /// the result is deterministic regardless of thread scheduling, and with
-/// `bits == 0` the single shard is produced by the exact same
-/// [`merge_chunks`] pass as the unsharded build — byte-identical output.
+/// `bits == 0` the single shard is one arena assembled by the sequential
+/// [`merge_chunks`] pass.
 pub(crate) fn shard_chunks(bits: u32, chunks: Vec<KeywordChunk>) -> ShardedIndex {
     assert!(
         bits <= MAX_SHARD_BITS,
@@ -815,25 +818,12 @@ fn shard_chunks_to_dir(
 }
 
 impl SseScheme {
-    /// Sharded variant of [`build_index`](Self::build_index): same
-    /// per-keyword encryption (and the same RNG consumption — one nonce
-    /// seed per keyword, so ciphertexts are identical for every
-    /// `shard_bits`), but the entries are distributed over `2^shard_bits`
-    /// label-prefix shards assembled in parallel.
-    pub fn build_index_sharded<R: RngCore + CryptoRng>(
-        key: &SseKey,
-        database: &SseDatabase,
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> ShardedIndex {
-        shard_chunks(shard_bits, Self::chunks_from_database(key, database, rng))
-    }
-
-    /// Storage-dispatching variant of
-    /// [`build_index_sharded`](Self::build_index_sharded): the shards are
-    /// assembled in memory or streamed straight to their serialized files,
-    /// as [`StorageConfig`] selects. RNG consumption — and therefore every
-    /// ciphertext byte — is identical across backends.
+    /// `BuildIndex(k, D)`: encrypts the multimap into a dictionary of
+    /// `2^shard_bits` label-prefix shards held by the backend `config`
+    /// selects — assembled in memory, or streamed straight to their
+    /// serialized files. Per-keyword work runs in parallel; RNG
+    /// consumption (one nonce seed per keyword) — and therefore every
+    /// ciphertext byte — is identical for every shard count and backend.
     pub fn build_index_stored<R: RngCore + CryptoRng>(
         key: &SseKey,
         database: &SseDatabase,
@@ -843,18 +833,9 @@ impl SseScheme {
         shard_chunks_stored(config, Self::chunks_from_database(key, database, rng))
     }
 
-    /// Sharded variant of
-    /// [`build_index_from_token_lists`](Self::build_index_from_token_lists).
-    pub fn build_index_from_token_lists_sharded<R: RngCore + CryptoRng>(
-        lists: &[(SearchToken, Vec<Vec<u8>>)],
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> ShardedIndex {
-        shard_chunks(shard_bits, Self::chunks_from_token_lists(lists, rng))
-    }
-
-    /// Storage-dispatching variant of
-    /// [`build_index_from_token_lists_sharded`](Self::build_index_from_token_lists_sharded).
+    /// [`build_index_stored`](Self::build_index_stored) over pre-derived
+    /// per-keyword tokens instead of a master key (the Constant schemes'
+    /// DPRF-derived tokens).
     pub fn build_index_from_token_lists_stored<R: RngCore + CryptoRng>(
         lists: &[(SearchToken, Vec<Vec<u8>>)],
         config: &StorageConfig,
@@ -863,19 +844,9 @@ impl SseScheme {
         shard_chunks_stored(config, Self::chunks_from_token_lists(lists, rng))
     }
 
-    /// Sharded variant of [`build_index_fixed`](Self::build_index_fixed) —
-    /// the fast path the range schemes' sharded constructors use.
-    pub fn build_index_fixed_sharded<const P: usize, R: RngCore + CryptoRng>(
-        key: &SseKey,
-        lists: &[(Vec<u8>, Vec<[u8; P]>)],
-        shard_bits: u32,
-        rng: &mut R,
-    ) -> ShardedIndex {
-        shard_chunks(shard_bits, Self::chunks_from_fixed(key, lists, rng))
-    }
-
-    /// Storage-dispatching variant of
-    /// [`build_index_fixed_sharded`](Self::build_index_fixed_sharded).
+    /// Fixed-stride [`build_index_stored`](Self::build_index_stored): every
+    /// payload is a `[u8; P]` array — the fast path the range schemes'
+    /// grouped builds use.
     pub fn build_index_fixed_stored<const P: usize, R: RngCore + CryptoRng>(
         key: &SseKey,
         lists: &[(Vec<u8>, Vec<[u8; P]>)],
@@ -903,6 +874,28 @@ mod tests {
             db.add(k.clone(), v.clone());
         }
         db
+    }
+
+    /// An in-memory build with `2^bits` shards.
+    fn build_mem(key: &SseKey, db: &SseDatabase, bits: u32, rng: &mut ChaCha20Rng) -> ShardedIndex {
+        SseScheme::build_index_stored(key, db, &StorageConfig::in_memory(bits), rng).unwrap()
+    }
+
+    /// Each token's decrypted payload list from one lockstep
+    /// `search_batch_scan` pass (undecryptable entries skipped, as in
+    /// `search`).
+    fn batch_payloads<I: IndexLookup>(
+        index: &I,
+        tokens: &[SearchToken],
+    ) -> Result<Vec<Vec<Vec<u8>>>, I::Error> {
+        let ciphers: Vec<_> = tokens.iter().map(SearchToken::payload_cipher).collect();
+        let mut results = vec![Vec::new(); tokens.len()];
+        SseScheme::search_batch_scan(index, tokens, |t, ciphertext| {
+            if let Some(plaintext) = ciphers[t].decrypt(ciphertext) {
+                results[t].push(plaintext);
+            }
+        })?;
+        Ok(results)
     }
 
     #[test]
@@ -940,7 +933,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let index = SseScheme::build_index_sharded(&key, &db, 4, &mut rng);
+        let index = build_mem(&key, &db, 4, &mut rng);
         assert_eq!(index.shard_count(), 16);
         assert_eq!(index.len(), 64);
         // Every shard's entries carry that shard's label prefix, and every
@@ -978,14 +971,14 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let index = SseScheme::build_index_sharded(&key, &db, 3, &mut rng);
+        let index = build_mem(&key, &db, 3, &mut rng);
         let tokens: Vec<SearchToken> = (0..6u64)
             .map(|kw| SseScheme::trapdoor(&key, format!("kw{kw}").as_bytes()))
             .collect();
         let counts = SseScheme::search_batch_scan(&index, &tokens, |_, _| {}).unwrap();
         let expected: Vec<usize> = tokens
             .iter()
-            .map(|t| SseScheme::search_count(&index, t).unwrap())
+            .map(|t| SseScheme::search(&index, t).unwrap().len())
             .collect();
         assert_eq!(counts, expected);
         assert_eq!(counts, vec![8, 8, 8, 8, 8, 0]);
@@ -1137,7 +1130,7 @@ mod tests {
                 })
                 .collect::<Vec<_>>(),
         );
-        let mut index = SseScheme::build_index_sharded(&key, &db, 2, &mut rng);
+        let mut index = build_mem(&key, &db, 2, &mut rng);
         let token = SseScheme::trapdoor(&key, b"kw1");
         assert_eq!(SseScheme::search(&index, &token).unwrap().len(), 8);
 
@@ -1151,22 +1144,20 @@ mod tests {
             }
             other => panic!("expected Err(Io), got {other:?}"),
         }
-        // The batched scan fails the same way…
-        assert!(SseScheme::search_batch(&index, std::slice::from_ref(&token)).is_err());
-        // …and try_search reports it as a storage failure, not corruption.
-        match SseScheme::try_search(&index, &token) {
-            Err(crate::pibas::SearchError::Storage(StorageError::Io { .. })) => {}
-            other => panic!("expected Storage error, got {other:?}"),
-        }
+        // The batched scan fails the same way.
+        assert!(matches!(
+            SseScheme::search_batch_scan(&index, std::slice::from_ref(&token), |_, _| {}),
+            Err(StorageError::Io { .. })
+        ));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// The PR 2 acceptance property, still pinned: a `shard_bits = 0`
-        /// in-memory ShardedIndex is **byte-identical** to the PR 1
-        /// arena-backed `EncryptedIndex` — same arena bytes, same offset
-        /// table — given the same key and RNG stream.
+        /// A `shard_bits = 0` in-memory build is one arena holding
+        /// **byte-identical** `(label, ciphertext)` pairs to the reference
+        /// per-entry dictionary, with the arena spans tiling the region
+        /// gap-free — given the same key and RNG stream.
         #[test]
         fn unsharded_is_byte_identical_to_plain_arena(entries in proptest::collection::vec(
             (proptest::collection::vec(any::<u8>(), 1..6),
@@ -1176,17 +1167,24 @@ mod tests {
             let db = db_from(&entries);
             let key = SseScheme::key_from(Key::from_bytes([0x5A; KEY_LEN]));
 
-            let mut rng_flat = ChaCha20Rng::seed_from_u64(seed);
-            let flat = SseScheme::build_index(&key, &db, &mut rng_flat);
+            let mut rng_reference = ChaCha20Rng::seed_from_u64(seed);
+            let reference = crate::pibas::reference::build_index(&key, &db, &mut rng_reference);
             let mut rng_sharded = ChaCha20Rng::seed_from_u64(seed);
-            let sharded = SseScheme::build_index_sharded(&key, &db, 0, &mut rng_sharded);
+            let sharded = build_mem(&key, &db, 0, &mut rng_sharded);
 
             prop_assert_eq!(sharded.shard_count(), 1);
             let shard = sharded.shards()[0].as_memory().expect("in-memory build");
-            prop_assert_eq!(shard.arena_bytes_raw(), flat.arena_bytes_raw(),
-                "k=0 shard arena must be byte-identical to the flat arena");
-            prop_assert_eq!(shard.table_raw(), flat.table_raw(),
-                "k=0 shard offset table must equal the flat table");
+            prop_assert_eq!(shard.table_raw().len(), reference.dictionary.len());
+            for (label, ciphertext) in &reference.dictionary {
+                prop_assert_eq!(shard.get(label), Some(ciphertext.as_slice()),
+                    "k=0 shard must hold the reference dictionary's bytes");
+            }
+            let mut tiled = 0usize;
+            for (_, offset, len) in shard.entries_by_offset() {
+                prop_assert_eq!(offset as usize, tiled, "arena spans must tile the region");
+                tiled += len as usize;
+            }
+            prop_assert_eq!(tiled, shard.arena_bytes_raw().len());
         }
 
         /// Sharding is layout-only: for arbitrary multimaps and any k, the
@@ -1203,9 +1201,9 @@ mod tests {
             let key = SseScheme::key_from(Key::from_bytes([0xC3; KEY_LEN]));
 
             let mut rng_flat = ChaCha20Rng::seed_from_u64(seed);
-            let flat = SseScheme::build_index_sharded(&key, &db, 0, &mut rng_flat);
+            let flat = build_mem(&key, &db, 0, &mut rng_flat);
             let mut rng_sharded = ChaCha20Rng::seed_from_u64(seed);
-            let sharded = SseScheme::build_index_sharded(&key, &db, bits, &mut rng_sharded);
+            let sharded = build_mem(&key, &db, bits, &mut rng_sharded);
 
             prop_assert_eq!(sharded.len(), flat.len());
             prop_assert_eq!(sharded.storage_bytes(), flat.storage_bytes());
@@ -1228,14 +1226,14 @@ mod tests {
                     SseScheme::search(&flat, token).unwrap()
                 );
             }
-            let batched = SseScheme::search_batch(&sharded, &tokens).unwrap();
+            let batched = batch_payloads(&sharded, &tokens).unwrap();
             let per_token: Vec<Vec<Vec<u8>>> = tokens.iter()
                 .map(|t| SseScheme::search(&flat, t).unwrap())
                 .collect();
             prop_assert_eq!(batched, per_token);
         }
 
-        /// Regression: `search_batch` on a *shuffled* token vector returns,
+        /// Regression: the batched scan on a *shuffled* token vector returns,
         /// per token, exactly what per-token `search` returns — so the
         /// result multiset over the whole vector is independent of token
         /// order and of batching.
@@ -1251,7 +1249,7 @@ mod tests {
             let db = db_from(&entries);
             let mut rng = ChaCha20Rng::seed_from_u64(seed);
             let key = SseScheme::setup(&mut rng);
-            let index = SseScheme::build_index_sharded(&key, &db, bits, &mut rng);
+            let index = build_mem(&key, &db, bits, &mut rng);
 
             // Tokens for every keyword plus two absent ones, then shuffled
             // (deterministic rotation + reversal keeps proptest shrinking sane).
@@ -1264,7 +1262,7 @@ mod tests {
             tokens.rotate_left(split);
             tokens.reverse();
 
-            let batched = SseScheme::search_batch(&index, &tokens).unwrap();
+            let batched = batch_payloads(&index, &tokens).unwrap();
             let per_token: Vec<Vec<Vec<u8>>> = tokens.iter()
                 .map(|t| SseScheme::search(&index, t).unwrap())
                 .collect();
@@ -1294,7 +1292,7 @@ mod tests {
             let key = SseScheme::key_from(Key::from_bytes([0x3C; KEY_LEN]));
 
             let mut rng_mem = ChaCha20Rng::seed_from_u64(seed);
-            let memory = SseScheme::build_index_sharded(&key, &db, bits, &mut rng_mem);
+            let memory = build_mem(&key, &db, bits, &mut rng_mem);
             let dir = TempDir::new("prop-eq");
             let mut rng_file = ChaCha20Rng::seed_from_u64(seed);
             let file = SseScheme::build_index_stored(
@@ -1320,8 +1318,8 @@ mod tests {
                     SseScheme::search(&memory, token).unwrap()
                 );
             }
-            let batched = SseScheme::search_batch(&file, &tokens).unwrap();
-            prop_assert_eq!(batched, SseScheme::search_batch(&memory, &tokens).unwrap());
+            let batched = batch_payloads(&file, &tokens).unwrap();
+            prop_assert_eq!(batched, batch_payloads(&memory, &tokens).unwrap());
         }
 
         /// PR 3 acceptance property (b): `save_to_dir` → `open_dir` →
@@ -1340,7 +1338,7 @@ mod tests {
             let key = SseScheme::key_from(Key::from_bytes([0x77; KEY_LEN]));
 
             let mut rng = ChaCha20Rng::seed_from_u64(seed);
-            let memory = SseScheme::build_index_sharded(&key, &db, bits, &mut rng);
+            let memory = build_mem(&key, &db, bits, &mut rng);
 
             let saved = TempDir::new("prop-rt-a");
             memory.save_to_dir(saved.path()).unwrap();
@@ -1381,7 +1379,7 @@ mod tests {
                         .collect::<Vec<_>>(),
                 );
                 let mut rng = ChaCha20Rng::seed_from_u64(u64::from(byte));
-                let index = SseScheme::build_index_sharded(&key, &db, bits, &mut rng);
+                let index = build_mem(&key, &db, bits, &mut rng);
                 (key, index)
             })
             .collect()

@@ -1898,7 +1898,7 @@ mod tests {
 
     #[test]
     fn sharded_rebuilds_answer_identically_to_unsharded() {
-        // The rebuild path goes through build_sharded: a manager configured
+        // The rebuild path goes through build_stored: a manager configured
         // with shard bits must stay logically identical to an unsharded one
         // across ingestion and consolidation.
         let mut rng_a = ChaCha20Rng::seed_from_u64(9);

@@ -35,7 +35,8 @@ fn main() {
 
     let shard_bits = 8;
     let (client, server) =
-        LogScheme::build_sharded_with(&dataset, CoverKind::Brc, shard_bits, &mut rng);
+        LogScheme::build_stored(&dataset, &StorageConfig::in_memory(shard_bits), &mut rng)
+            .expect("in-memory build cannot fail");
     println!(
         "index: {} entries across {} shards ({} bits of label prefix)",
         server.index().len(),

@@ -35,7 +35,9 @@ fn main() {
         .map(|i| Record::new(i, (i * 6151 + 17) % domain.size()))
         .collect();
     let dataset = Dataset::new(domain, records).expect("values fit the domain");
-    let (client, server) = LogScheme::build_sharded_with(&dataset, CoverKind::Brc, 4, &mut rng);
+    let (client, server) =
+        LogScheme::build_stored(&dataset, &StorageConfig::in_memory(4), &mut rng)
+            .expect("in-memory build cannot fail");
     let serve = ResilientServer::new(server.into_query_server(), ServeConfig::default());
 
     // ---------------------------------------------------------------

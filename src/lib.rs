@@ -67,7 +67,7 @@ pub mod prelude {
     };
     pub use rsse_cover::{Domain, Range};
     pub use rsse_serve::{ResilientServer, ServeConfig, ServeError};
-    pub use rsse_sse::ShardedIndex;
+    pub use rsse_sse::{ShardedIndex, StorageConfig};
     pub use rsse_updates::{
         ConsolidationMode, OwnerKey, UpdateConfig, UpdateEntry, UpdateManager, UpdateOp,
     };

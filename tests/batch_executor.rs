@@ -80,7 +80,8 @@ fn lanes(seed: u64, tag: &str) -> Vec<Lane> {
     let data = dataset(seed);
 
     let mut rng = ChaCha20Rng::seed_from_u64(seed);
-    let (client, server) = LogScheme::build_sharded_with(&data, CoverKind::Brc, 4, &mut rng);
+    let (client, server) =
+        LogScheme::build_stored(&data, &StorageConfig::in_memory(4), &mut rng).unwrap();
     let mem = Lane {
         name: "in_memory",
         client,

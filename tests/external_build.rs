@@ -8,7 +8,7 @@
 //! * every budget-honoring scheme, built externally on disk, produces an
 //!   index directory byte-identical to its in-RAM build;
 //! * the in-memory backend answers queries identically either way, and the
-//!   [`RangeScheme::build_external`] entry point defaults the budget;
+//!   default budget writes the in-RAM build's bytes;
 //! * a build killed inside a spill crash window leaves debris that the
 //!   restarted build heals — without touching foreign files — and
 //!   converges byte-identically;
@@ -146,29 +146,29 @@ fn external_in_memory_builds_answer_identically() {
     assert_eq!(spill_root.subdir_count(), 0);
 }
 
-/// `RangeScheme::build_external` is the one-call entry point: it defaults
-/// the budget when the config carries none and matches `build_stored` with
-/// an explicit budget.
+/// The default budget (what a caller gets from
+/// `with_build_budget(BuildBudget::default())`) writes the same bytes as
+/// the unbudgeted in-RAM `build_stored`.
 #[test]
-fn build_external_defaults_the_budget() {
+fn default_budget_build_is_byte_identical_to_in_ram() {
     use rsse::core::schemes::log_brc_urc::LogScheme;
     let mut data_rng = ChaCha20Rng::seed_from_u64(21);
     let dataset = gowalla_like(300, 1 << 9, &mut data_rng);
-    let a = TempDir::new("ext-default-a");
-    let b = TempDir::new("ext-default-b");
-    LogScheme::build_external(
+    let in_ram = TempDir::new("ext-default-a");
+    let budgeted = TempDir::new("ext-default-b");
+    LogScheme::build_stored(
         &dataset,
-        &StorageConfig::on_disk(1, a.path()),
+        &StorageConfig::on_disk(1, in_ram.path()),
         &mut ChaCha20Rng::seed_from_u64(3),
     )
     .unwrap();
     LogScheme::build_stored(
         &dataset,
-        &StorageConfig::on_disk(1, b.path()).with_build_budget(BuildBudget::default()),
+        &StorageConfig::on_disk(1, budgeted.path()).with_build_budget(BuildBudget::default()),
         &mut ChaCha20Rng::seed_from_u64(3),
     )
     .unwrap();
-    assert!(trees_equal(a.path(), b.path()));
+    assert!(trees_equal(in_ram.path(), budgeted.path()));
 }
 
 /// A scheme build killed in each spill crash window: the debris never

@@ -159,13 +159,12 @@ fn out_of_domain_queries_are_handled_uniformly() {
 #[test]
 fn clients_and_servers_from_different_builds_do_not_mix() {
     use rsse::core::schemes::log_brc_urc::LogScheme;
-    use rsse::core::schemes::CoverKind;
     use rsse::core::RangeScheme;
 
     let mut rng = ChaCha20Rng::seed_from_u64(4);
     let dataset = gowalla_like(300, 1 << 12, &mut rng);
-    let (_client_a, server_a) = LogScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
-    let (client_b, _server_b) = LogScheme::build_with(&dataset, CoverKind::Brc, &mut rng);
+    let (_client_a, server_a) = LogScheme::build(&dataset, &mut rng);
+    let (client_b, _server_b) = LogScheme::build(&dataset, &mut rng);
     // Client B's tokens are derived from an independent key, so they find
     // nothing in server A's index.
     let outcome = client_b.query(&server_a, Range::new(0, (1 << 12) - 1));

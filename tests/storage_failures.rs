@@ -128,12 +128,9 @@ fn all_five_scheme_query_paths_surface_block_read_failures() {
     {
         let dir = TempDir::new("fault-srci");
         let mut rng = ChaCha20Rng::seed_from_u64(4);
-        let (client, mut server) = LogSrcIScheme::build_impl_stored(
-            &data,
-            &StorageConfig::on_disk(0, dir.path()),
-            &mut rng,
-        )
-        .expect("on-disk build");
+        let (client, mut server) =
+            LogSrcIScheme::build_stored(&data, &StorageConfig::on_disk(0, dir.path()), &mut rng)
+                .expect("on-disk build");
         assert!(client.try_query(&server, range).is_ok());
         server.inject_read_faults(0);
         let err = client
@@ -176,7 +173,9 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
 
     let mut qs = QueryServer::open_dir(dir.path()).expect("cold-open");
     let healthy = qs
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("healthy disk serves the batch");
     assert_eq!(healthy.len(), queries.len());
 
@@ -205,7 +204,9 @@ fn answer_many_surfaces_mid_search_failure_as_typed_error() {
         }
     }
     let err = qs
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect_err("the strict collection must abort the batch");
     assert!(matches!(err, StorageError::Io { .. }));
 }
@@ -267,7 +268,9 @@ fn resilient_retry_absorbs_a_transient_fault_window() {
         .collect();
     let reference = QueryServer::open_dir(dir.path())
         .expect("cold-open")
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("healthy reference");
 
     // The first probe fails, then the "disk" recovers: exactly one probe
@@ -317,7 +320,9 @@ fn cache_budget_bounds_server_residency_with_identical_outcomes() {
 
     let unbounded = QueryServer::open_dir(dir.path()).expect("cold-open");
     let reference = unbounded
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("unbounded serves");
 
     // 25% of the ciphertext region: a few ~64 KiB blocks fit, so the
@@ -392,7 +397,9 @@ fn cache_stats_stay_consistent_under_concurrent_query_traffic() {
     let budgeted =
         QueryServer::open_dir_with_budget(dir.path(), Some(budget)).expect("budgeted open");
     let reference = budgeted
-        .answer_many_strict(&queries)
+        .answer_many(&queries)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("warm reference");
     let stop = AtomicBool::new(false);
 
