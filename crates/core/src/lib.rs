@@ -57,7 +57,7 @@ pub mod traits;
 pub use dataset::{Dataset, DatasetError, DocId, Record};
 pub use metrics::{Evaluation, IndexStats, QueryStats};
 pub use server::QueryServer;
-pub use traits::{MergeInput, QueryOutcome, RangeScheme};
+pub use traits::{QueryOutcome, RangeScheme};
 
 // Storage-backend selection and errors surface through `RangeScheme::
 // build_stored` and the persistence entry points, so re-export them here.

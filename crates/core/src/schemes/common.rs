@@ -55,31 +55,29 @@ pub fn clamp_query(domain: &Domain, range: Range) -> Option<Range> {
 /// whole query with its typed error — a failed block read is an error, not
 /// an empty group.
 ///
-/// Generic over the dictionary layout (one `EncryptedIndex` arena or a
-/// [`ShardedIndex`]). Large token vectors — the Constant schemes expand a
-/// trapdoor into one token per domain value of the range — are searched in
-/// parallel; results are merged in token order either way, so the outcome
-/// is deterministic.
+/// Generic over the dictionary view ([`IndexLookup`]). Large token
+/// vectors — the Constant schemes expand a trapdoor into one token per
+/// domain value of the range — are searched in parallel; results are
+/// merged in token order either way, so the outcome is deterministic.
 pub fn try_search_ids<I>(
     index: &I,
     tokens: &[SearchToken],
-) -> Result<(Vec<DocId>, Vec<usize>), I::Error>
+) -> Result<(Vec<DocId>, Vec<usize>), StorageError>
 where
     I: IndexLookup + Sync,
-    I::Error: Send,
 {
-    type TokenResult<E> = Vec<Result<(Vec<DocId>, usize), E>>;
-    let per_token: TokenResult<I::Error> = if tokens.len() >= PARALLEL_SEARCH_TOKENS {
-        tokens
-            .par_iter()
-            .map(|token| search_one(index, token))
-            .collect()
-    } else {
-        tokens
-            .iter()
-            .map(|token| search_one(index, token))
-            .collect()
-    };
+    let per_token: Vec<Result<(Vec<DocId>, usize), StorageError>> =
+        if tokens.len() >= PARALLEL_SEARCH_TOKENS {
+            tokens
+                .par_iter()
+                .map(|token| search_one(index, token))
+                .collect()
+        } else {
+            tokens
+                .iter()
+                .map(|token| search_one(index, token))
+                .collect()
+        };
     let mut ids = Vec::new();
     let mut groups = Vec::with_capacity(tokens.len());
     for result in per_token {
@@ -96,7 +94,6 @@ where
 pub fn search_ids<I>(index: &I, tokens: &[SearchToken]) -> (Vec<DocId>, Vec<usize>)
 where
     I: IndexLookup + Sync,
-    I::Error: Send + std::fmt::Debug,
 {
     try_search_ids(index, tokens).expect("storage backend failed during search")
 }
@@ -106,7 +103,7 @@ where
 fn search_one<I: IndexLookup>(
     index: &I,
     token: &SearchToken,
-) -> Result<(Vec<DocId>, usize), I::Error> {
+) -> Result<(Vec<DocId>, usize), StorageError> {
     let payloads = SseScheme::search(index, token)?;
     let matched = payloads.len();
     let ids = payloads

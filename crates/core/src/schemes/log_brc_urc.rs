@@ -15,7 +15,7 @@ use crate::schemes::common::{
     clamp_query, grouped_fixed_index, search_ids, try_search_ids, CoverKind,
 };
 use crate::server::QueryServer;
-use crate::traits::{MergeInput, QueryOutcome, RangeScheme};
+use crate::traits::{QueryOutcome, RangeScheme};
 use rand::{CryptoRng, RngCore};
 use rsse_cover::{Domain, Node, Range};
 use rsse_crypto::{permute, Key, KeyChain};
@@ -270,31 +270,16 @@ impl RangeScheme for LogScheme {
 
     /// Structural merge of committed dictionaries: ciphertext regions are
     /// copied verbatim and the label directories re-emitted — see
-    /// [`ShardedIndex::merge_in_memory`] / [`ShardedIndex::merge_dirs`].
-    /// No payload decrypt or re-encrypt happens on this path.
+    /// [`ShardedIndex::merge`]. No payload decrypt or re-encrypt happens
+    /// on this path.
     fn merge_stored(
-        inputs: &[MergeInput<'_, Self::Server>],
+        inputs: &[&Self::Server],
         config: &StorageConfig,
     ) -> Result<Self::Server, StorageError> {
-        let index = match &config.backend {
-            StorageBackend::InMemory => {
-                let indexes: Vec<&ShardedIndex> =
-                    inputs.iter().map(|input| input.server.index()).collect();
-                ShardedIndex::merge_in_memory(&indexes)?
-            }
-            StorageBackend::OnDisk(out) => {
-                let dirs = inputs
-                    .iter()
-                    .map(|input| {
-                        input.dir.ok_or(StorageError::Unsupported(
-                            "structural on-disk merge of an instance without a saved directory",
-                        ))
-                    })
-                    .collect::<Result<Vec<&Path>, StorageError>>()?;
-                ShardedIndex::merge_dirs(&dirs, out, config.cache_budget)?
-            }
-        };
-        Ok(LogServer { index })
+        let indexes: Vec<&ShardedIndex> = inputs.iter().map(|server| server.index()).collect();
+        Ok(LogServer {
+            index: ShardedIndex::merge(&indexes, config)?,
+        })
     }
 
     /// Exactly the key-material draws `build_full_stored` makes before it

@@ -99,9 +99,8 @@ impl RangeScheme for PlainSseScheme {
         Ok((Self { key, domain }, PlainSseServer { index }))
     }
 
-    /// The per-value baseline keeps its dictionary in memory
-    /// (`IndexLookup::Error = Infallible`), so the fallible path cannot
-    /// actually fail.
+    /// The per-value baseline keeps its dictionary in memory, so the
+    /// fallible path cannot actually fail.
     fn try_query(&self, server: &Self::Server, range: Range) -> Result<QueryOutcome, StorageError> {
         let Some(clamped) = clamp_query(&self.domain, range) else {
             return Ok(QueryOutcome::default());

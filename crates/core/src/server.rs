@@ -100,7 +100,7 @@ pub fn scan_query_into<I>(
     per_token: &mut Vec<Vec<DocId>>,
 ) -> Result<Vec<usize>, StorageError>
 where
-    I: IndexLookup<Error = StorageError>,
+    I: IndexLookup,
 {
     let mut scratch = ScanScratch::default();
     scan_query_into_with(index, tokens, per_token, &mut scratch)
@@ -116,7 +116,7 @@ pub fn scan_query_into_with<I>(
     scratch: &mut ScanScratch,
 ) -> Result<Vec<usize>, StorageError>
 where
-    I: IndexLookup<Error = StorageError>,
+    I: IndexLookup,
 {
     per_token.clear();
     per_token.resize_with(tokens.len(), Vec::new);

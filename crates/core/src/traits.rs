@@ -7,22 +7,6 @@ use rsse_cover::{Domain, Range};
 use rsse_sse::{StorageConfig, StorageError};
 use std::path::Path;
 
-/// One input instance of a structural merge (see
-/// [`RangeScheme::merge_stored`]).
-///
-/// The merge consumes committed server state only: the opened server, plus
-/// — for file-backed instances — the saved index directory whose shard
-/// files the merge copies from. The input's owner state is untouched; after
-/// the merge its client keeps querying the merged server with its original
-/// trapdoors.
-#[derive(Clone, Copy, Debug)]
-pub struct MergeInput<'a, Srv> {
-    /// The input instance's opened server.
-    pub server: &'a Srv,
-    /// The instance's saved index directory, when file-backed.
-    pub dir: Option<&'a Path>,
-}
-
 /// The owner-visible outcome of a range query.
 ///
 /// `ids` is the list of tuple ids the server returned. Depending on the
@@ -174,9 +158,9 @@ pub trait RangeScheme: Sized {
 
     /// Structurally merges committed input servers into one server on the
     /// backend `config` selects, **copying ciphertext verbatim** — no
-    /// payload is decrypted or re-encrypted. In-memory inputs merge arena
-    /// to arena; file-backed inputs merge shard files into the output
-    /// directory of an on-disk `config`.
+    /// payload is decrypted or re-encrypted, whether the inputs' regions
+    /// are in memory or in their shard files. The merge consumes committed
+    /// server state only; the inputs' owner state is untouched.
     ///
     /// The merged server answers each input client's queries exactly as
     /// that input did (the merge is a disjoint union of encrypted
@@ -192,7 +176,7 @@ pub trait RangeScheme: Sized {
     /// response is to fall back to a rebuild consolidation. Genuine I/O
     /// and corruption failures surface as their usual typed errors.
     fn merge_stored(
-        inputs: &[MergeInput<'_, Self::Server>],
+        inputs: &[&Self::Server],
         config: &StorageConfig,
     ) -> Result<Self::Server, StorageError> {
         let _ = (inputs, config);

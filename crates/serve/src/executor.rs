@@ -17,7 +17,7 @@
 //!    is exactly what each demander's own probe would have returned.
 //! 3. **Scatter** — the unique probes are grouped by shard into lanes, one
 //!    worker task per shard lane. Each lane probes sequentially (its
-//!    `FileShard` block reads stay clustered), lanes run in parallel, so
+//!    file-backed block reads stay clustered), lanes run in parallel, so
 //!    one slow block stalls only its shard's lane, never the whole round.
 //! 4. **Gather** — demanders read their probes' shared results: hits are
 //!    decrypted per query with that query's own payload cipher (dedup

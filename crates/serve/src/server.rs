@@ -271,8 +271,6 @@ impl<B: ServeIndex> QueryGuard<'_, B> {
 }
 
 impl<B: ServeIndex> IndexLookup for QueryGuard<'_, B> {
-    type Error = StorageError;
-
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
         let shard = self.server.backend.shard_of(label);
         match self.server.probe_guarded(shard, label, self.deadline) {

@@ -20,7 +20,7 @@
 //!                                                                  │
 //!                                              label-prefix scatter into shard sinks
 //!                                                   │                    │
-//!                                            in-memory arenas    staged shard files
+//!                                          in-memory shard regions  staged shard files
 //!                                                              (stage-*.tmp ─▶ shard-*.shd)
 //! ```
 //!
@@ -45,12 +45,12 @@
 //! The final index directory itself keeps the exact commit discipline of
 //! the in-RAM on-disk build (manifest first, every shard file atomic).
 
-use crate::pibas::{encrypt_payloads, EncryptedIndex, Label, SearchToken, SseKey, SseScheme};
-use crate::sharded::{shard_of_label, Shard, ShardedIndex, MAX_SHARD_BITS};
+use crate::pibas::{encrypt_payloads, Label, SearchToken, SseKey, SseScheme, LABEL_LEN};
+use crate::sharded::{shard_of_label, ShardedIndex, MAX_SHARD_BITS};
 use crate::storage::{
-    check_header, shard_file_name, write_file_atomic, write_manifest, write_shard_header,
-    BlockCache, BuildBudget, FileShard, StorageBackend, StorageConfig, StorageError,
-    FORMAT_VERSION,
+    check_header, dir_entry, shard_file_name, write_file_atomic, write_manifest,
+    write_shard_header, BlockCache, BuildBudget, Shard, StorageBackend, StorageConfig,
+    StorageError, DIR_ENTRY_LEN, FORMAT_VERSION,
 };
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
@@ -62,6 +62,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 /// Name of the spill directory an on-disk external build creates inside
 /// its index directory. The `.tmp` suffix marks it as never part of a
@@ -546,32 +547,27 @@ impl<const K: usize, const P: usize> Eq for HeapEntry<K, P> {}
 // Shard sinks
 // ---------------------------------------------------------------------------
 
-/// One shard's scatter state during pass 2 of an on-disk build: bounded
-/// in-memory frames, overflowing into append-only stage files.
+/// One shard's scatter state during pass 2: its serialized directory
+/// entries and ciphertext bytes, in arrival order.
+#[derive(Default)]
 struct StageShard {
-    entries: u64,
+    entries: usize,
     region_len: u64,
-    /// Buffered 20-byte `(label, ciphertext length)` frames.
+    /// Buffered 24-byte directory entries (label, offset, len).
     dir_buf: Vec<u8>,
     /// Buffered ciphertext bytes, parallel to `dir_buf`.
     region_buf: Vec<u8>,
-    /// Whether any frames have already overflowed to the stage files.
-    staged: bool,
 }
 
-/// Where merged, encrypted entries land: in-memory arenas or staged shard
-/// files that finalize into the exact serialized shard format.
-enum Sink<'a> {
-    /// In-memory backend: one growing arena per shard.
-    Memory { shards: Vec<EncryptedIndex> },
-    /// On-disk backend: per-shard bounded buffers spilling to stage files
-    /// in the spill directory, finalized into `shard-NNNNN.shd`.
-    Disk {
-        dir: &'a Path,
-        spill: &'a Path,
-        flush_bytes: usize,
-        shards: Vec<StageShard>,
-    },
+/// Where merged, encrypted entries land: one [`StageShard`] per shard. An
+/// in-memory build keeps everything buffered; an on-disk build bounds the
+/// buffers, overflowing them into append-only stage files in the spill
+/// directory, and finalizes them into `shard-NNNNN.shd`.
+struct Sink<'a> {
+    /// `(index directory, spill directory)` of an on-disk build.
+    disk: Option<(&'a Path, &'a Path)>,
+    flush_bytes: usize,
+    shards: Vec<StageShard>,
 }
 
 impl<'a> Sink<'a> {
@@ -581,99 +577,83 @@ impl<'a> Sink<'a> {
         budget: &BuildBudget,
     ) -> Result<Self, StorageError> {
         let count = 1usize << config.shard_bits;
-        match &config.backend {
-            StorageBackend::InMemory => Ok(Sink::Memory {
-                shards: (0..count).map(|_| EncryptedIndex::default()).collect(),
-            }),
+        let disk = match &config.backend {
+            StorageBackend::InMemory => None,
             StorageBackend::OnDisk(dir) => {
                 // Same commit discipline as the in-RAM on-disk build: the
                 // index manifest goes in first, shard files follow.
                 write_manifest(dir, config.shard_bits)?;
-                // A quarter of the budget across all shard buffers, floored
-                // so very high shard counts degrade to more frequent
-                // appends rather than per-byte syscalls.
-                let flush_bytes = (budget.memory_bytes / 4 / count).clamp(4 << 10, 1 << 20);
-                Ok(Sink::Disk {
-                    dir,
-                    spill,
-                    flush_bytes,
-                    shards: (0..count)
-                        .map(|_| StageShard {
-                            entries: 0,
-                            region_len: 0,
-                            dir_buf: Vec::new(),
-                            region_buf: Vec::new(),
-                            staged: false,
-                        })
-                        .collect(),
-                })
+                Some((dir.as_path(), spill))
             }
-        }
+        };
+        Ok(Sink {
+            disk,
+            // A quarter of the budget across all shard buffers, floored so
+            // very high shard counts degrade to more frequent appends
+            // rather than per-byte syscalls.
+            flush_bytes: (budget.memory_bytes / 4 / count).clamp(4 << 10, 1 << 20),
+            shards: (0..count).map(|_| StageShard::default()).collect(),
+        })
     }
 
     /// Accepts the next entry in global (keyword, counter) order.
     fn accept(&mut self, bits: u32, label: Label, ciphertext: &[u8]) -> Result<(), StorageError> {
         let shard = shard_of_label(&label, bits);
-        match self {
-            Sink::Memory { shards } => {
-                shards[shard].append_entry(label, ciphertext);
-                Ok(())
-            }
-            Sink::Disk {
-                spill,
-                flush_bytes,
-                shards,
-                ..
-            } => {
-                let stage = &mut shards[shard];
-                stage.dir_buf.extend_from_slice(&label);
-                stage
-                    .dir_buf
-                    .extend_from_slice(&(ciphertext.len() as u32).to_le_bytes());
-                stage.region_buf.extend_from_slice(ciphertext);
-                stage.entries += 1;
-                stage.region_len += ciphertext.len() as u64;
-                if stage.dir_buf.len() + stage.region_buf.len() >= *flush_bytes {
-                    stage_overflow(spill, shard, stage)?;
-                }
-                Ok(())
+        let stage = &mut self.shards[shard];
+        assert!(
+            stage.region_len + ciphertext.len() as u64 <= u64::from(u32::MAX),
+            "arena limited to 4 GiB per shard; shard the dataset first"
+        );
+        let len = ciphertext.len() as u32;
+        stage
+            .dir_buf
+            .extend_from_slice(&dir_entry(&label, stage.region_len as u32, len));
+        stage.region_buf.extend_from_slice(ciphertext);
+        stage.entries += 1;
+        stage.region_len += u64::from(len);
+        if let Some((_, spill)) = self.disk {
+            if stage.dir_buf.len() + stage.region_buf.len() >= self.flush_bytes {
+                stage_overflow(spill, shard, stage)?;
             }
         }
+        Ok(())
     }
 
     /// Finalizes every shard and assembles the index.
     fn finish(self, bits: u32, cache_budget: Option<usize>) -> Result<ShardedIndex, StorageError> {
-        match self {
-            Sink::Memory { shards } => Ok(ShardedIndex::from_parts(
-                bits,
-                shards.into_iter().map(Shard::Memory).collect(),
-            )),
-            Sink::Disk {
-                dir, spill, shards, ..
-            } => {
-                let cache = cache_budget.map(|budget| std::sync::Arc::new(BlockCache::new(budget)));
-                let mut out = Vec::with_capacity(shards.len());
-                for (i, stage) in shards.into_iter().enumerate() {
+        let cache = Arc::new(BlockCache::new(cache_budget));
+        let mut out = Vec::with_capacity(self.shards.len());
+        for (i, mut stage) in self.shards.into_iter().enumerate() {
+            let shard = match self.disk {
+                None => Shard::in_memory(
+                    stage.entries,
+                    stage
+                        .dir_buf
+                        .chunks_exact(DIR_ENTRY_LEN as usize)
+                        .map(|entry| {
+                            let label: Label =
+                                entry[..LABEL_LEN].try_into().expect("16-byte label");
+                            let len = u32::from_le_bytes(entry[20..].try_into().expect("4 bytes"));
+                            (label, len)
+                        }),
+                    stage.region_buf,
+                ),
+                Some((dir, spill)) => {
                     let path = dir.join(shard_file_name(i));
-                    finalize_shard(&path, spill, i, stage)?;
+                    finalize_shard(&path, spill, i, &mut stage)?;
                     if i == 0 {
                         check_kill(ExternalKillPoint::MidShardWrite)?;
                     }
-                    let shard = match &cache {
-                        Some(cache) => {
-                            FileShard::open_cached(&path, i as u32, std::sync::Arc::clone(cache))?
-                        }
-                        None => FileShard::open(&path)?,
-                    };
-                    out.push(Shard::File(shard));
+                    Shard::open(&path, Some((&cache, i as u32)))?
                 }
-                Ok(ShardedIndex::from_parts(bits, out))
-            }
+            };
+            out.push(shard);
         }
+        Ok(ShardedIndex::from_parts(bits, out, cache))
     }
 }
 
-/// Appends a shard's buffered frames to its stage files and clears the
+/// Appends a shard's buffered entries to its stage files and clears the
 /// buffers.
 fn stage_overflow(spill: &Path, shard: usize, stage: &mut StageShard) -> Result<(), StorageError> {
     let append = |name: String, bytes: &[u8]| -> Result<(), StorageError> {
@@ -689,60 +669,26 @@ fn stage_overflow(spill: &Path, shard: usize, stage: &mut StageShard) -> Result<
     append(stage_region_name(shard), &stage.region_buf)?;
     stage.dir_buf.clear();
     stage.region_buf.clear();
-    stage.staged = true;
     Ok(())
 }
 
-/// Writes shard `shard`'s final serialized file from its staged frames —
-/// header, label directory (offsets as the running length sum, exactly the
-/// in-RAM layout), then the ciphertext region — and removes the stage
-/// files. Small shards that never overflowed serialize straight from
-/// their buffers.
+/// Writes shard `shard`'s final serialized file — header, then the staged
+/// directory entries and ciphertext region verbatim — and removes the
+/// stage files.
 fn finalize_shard(
     path: &Path,
     spill: &Path,
     shard: usize,
-    mut stage: StageShard,
+    stage: &mut StageShard,
 ) -> Result<(), StorageError> {
-    assert!(
-        stage.region_len <= u32::MAX as u64,
-        "arena limited to 4 GiB per index; shard the dataset first"
-    );
-    if stage.staged {
-        // Flush the tail so the stage files hold everything.
-        stage_overflow(spill, shard, &mut stage)?;
-    }
+    // Flush the tail so the stage files hold everything.
+    stage_overflow(spill, shard, stage)?;
     let dir_tmp = spill.join(stage_dir_name(shard));
     let region_tmp = spill.join(stage_region_name(shard));
     write_file_atomic(path, |writer| {
-        write_shard_header(writer, stage.entries, stage.region_len)?;
-        if stage.staged {
-            // Stream the directory from the staged frames: read each
-            // 20-byte (label, len) frame, emit the 24-byte directory entry
-            // with the running offset.
-            let mut frames = BufReader::new(File::open(&dir_tmp)?);
-            let mut running = 0u32;
-            let mut frame = [0u8; 20];
-            for _ in 0..stage.entries {
-                frames.read_exact(&mut frame)?;
-                let len = u32::from_le_bytes(frame[16..20].try_into().unwrap());
-                writer.write_all(&frame[..16])?;
-                writer.write_all(&running.to_le_bytes())?;
-                writer.write_all(&len.to_le_bytes())?;
-                running += len;
-            }
-            io::copy(&mut BufReader::new(File::open(&region_tmp)?), writer)?;
-        } else {
-            let mut running = 0u32;
-            for frame in stage.dir_buf.chunks_exact(20) {
-                let len = u32::from_le_bytes(frame[16..20].try_into().unwrap());
-                writer.write_all(&frame[..16])?;
-                writer.write_all(&running.to_le_bytes())?;
-                writer.write_all(&len.to_le_bytes())?;
-                running += len;
-            }
-            writer.write_all(&stage.region_buf)?;
-        }
+        write_shard_header(writer, stage.entries as u64, stage.region_len)?;
+        io::copy(&mut File::open(&dir_tmp)?, writer)?;
+        io::copy(&mut File::open(&region_tmp)?, writer)?;
         Ok(())
     })?;
     let _ = fs::remove_file(&dir_tmp);

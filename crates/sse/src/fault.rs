@@ -1,8 +1,8 @@
 //! Deterministic fault injection: the chaos harness behind the resilience
 //! tests and benches.
 //!
-//! PR 4 introduced [`FaultShard`], a storage wrapper that fails probes after
-//! a countdown, and PR 5 sprinkled `inject_read_faults` /
+//! PR 4 introduced a storage wrapper that failed probes after a countdown,
+//! and PR 5 sprinkled `inject_read_faults` /
 //! `inject_transient_read_faults` convenience hooks over every server type
 //! that owns a [`ShardedIndex`] — seven hand-rolled copies of the same two
 //! lines. This module replaces all of that with one shared vocabulary:
@@ -13,7 +13,7 @@
 //!   latency, and the two legacy countdown shapes (`dead_after`,
 //!   `transient_window`) kept semantics-identical to the PR 4/5 hooks;
 //! * [`FaultInjector`] — the shared runtime state of one plan: a global
-//!   probe counter (shared across every shard of every wrapped index, and
+//!   probe counter (shared across every shard of every injected index, and
 //!   across clones) plus the countdowns, making every decision a pure
 //!   function of `(seed, probe_index, shard)` — **fully deterministic** for
 //!   a sequentially probing caller, and result-stable under parallel
@@ -23,20 +23,23 @@
 //!   injection surface, instead of re-implementing the hooks.
 //!
 //! Failures surface as [`StorageError::Io`] at the synthetic path
-//! [`FaultShard::FAULT_PATH`] — exactly what a real failed block read
-//! produces, so everything downstream (typed error propagation, retry
-//! layers, circuit breakers) exercises its production path. A production
-//! index never contains fault wrappers; this is test/bench support that
+//! [`FAULT_PATH`] — exactly what a real failed block read produces, so
+//! everything downstream (typed error propagation, retry layers, circuit
+//! breakers) exercises its production path. A production index never has
+//! an injector attached; this is test/bench support that
 //! ships in the library only because downstream crates' integration tests
 //! and the bench harness need to reach it.
 
-use crate::sharded::{FaultShard, ShardedIndex};
+use crate::sharded::ShardedIndex;
 use crate::storage::StorageError;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The synthetic path reported by injected failures.
+pub const FAULT_PATH: &str = "<injected-fault>";
 
 /// Callback invoked instead of a real `thread::sleep` when the plan injects
 /// probe latency — lets a virtual clock absorb injected delays so latency /
@@ -172,15 +175,15 @@ impl FaultPlan {
 }
 
 /// The shared runtime of one [`FaultPlan`]: a global probe counter plus the
-/// legacy countdown state, consulted by every [`FaultShard`] wrapping any
-/// shard of any index the plan was injected into (and by clones of them).
+/// legacy countdown state, consulted before every probe of any shard of any
+/// index the plan was injected into (and of clones of them).
 ///
 /// Exposes its counters so tests can assert how much chaos actually
 /// happened — e.g. "the retry layer absorbed exactly `faults_injected()`
 /// transient faults".
 pub struct FaultInjector {
     plan: FaultPlan,
-    /// Global probe index: one per `decide` call, across all wrapped shards.
+    /// Global probe index: one per `decide` call, across all injected shards.
     probes: AtomicU64,
     /// Remaining successful probes of the legacy countdown (negative once
     /// in the failing window). `i64::MAX` when no countdown is configured.
@@ -236,7 +239,7 @@ impl FaultInjector {
         }
     }
 
-    /// Number of probes decided so far (across all wrapped shards).
+    /// Number of probes decided so far (across all injected shards).
     pub fn probes_issued(&self) -> u64 {
         self.probes.load(Ordering::SeqCst)
     }
@@ -260,7 +263,7 @@ impl FaultInjector {
         if self.probe_fails(probe, shard) {
             self.faults.fetch_add(1, Ordering::SeqCst);
             return Err(StorageError::Io {
-                path: PathBuf::from(FaultShard::FAULT_PATH),
+                path: PathBuf::from(FAULT_PATH),
                 error: io::Error::other("injected block-read fault"),
             });
         }
@@ -310,7 +313,7 @@ impl FaultInjector {
 /// Everything that owns one or more [`ShardedIndex`]es and wants the fault
 /// injection surface: implement [`fault_indexes`](Self::fault_indexes) (one
 /// line) and the provided methods do the rest — one shared
-/// [`FaultInjector`] wraps every shard of every returned index, so probe
+/// [`FaultInjector`] guards every shard of every returned index, so probe
 /// counting is global across them (multi-index servers like
 /// Logarithmic-SRC-i count both indexes' probes on one clock).
 ///
@@ -321,9 +324,9 @@ pub trait FaultInjectable {
     /// The indexes faults should be injected into.
     fn fault_indexes(&mut self) -> Vec<&mut ShardedIndex>;
 
-    /// Wraps every shard of every [`fault_indexes`](Self::fault_indexes)
-    /// index with an already-built injector and returns it (for reading
-    /// its counters, or for sharing one injector across servers).
+    /// Attaches an already-built injector to every
+    /// [`fault_indexes`](Self::fault_indexes) index (for reading its
+    /// counters, or for sharing one injector across servers).
     fn inject_fault_injector(&mut self, injector: &Arc<FaultInjector>) {
         for index in self.fault_indexes() {
             index.attach_fault_injector(injector);

@@ -13,14 +13,13 @@
 //! * [`SseScheme`] — the four algorithms of the paper's Section 2.2:
 //!   [`SseScheme::setup`], [`SseScheme::build_index_stored`],
 //!   [`SseScheme::trapdoor`], [`SseScheme::search`];
-//! * [`EncryptedIndex`] — the server-side dictionary of PRF-labelled,
-//!   individually encrypted entries;
-//! * [`ShardedIndex`] — the same dictionary split into `2^k`
-//!   label-prefix-keyed shards for parallel builds, lock-free concurrent
-//!   reads and shard-grouped batched search (see [`sharded`]);
-//! * [`storage`] — pluggable shard backends behind the [`ShardStorage`]
-//!   trait: the in-memory arena, or on-disk shard files written during
-//!   BuildIndex and served via paged reads ([`FileShard`]), selected by a
+//! * [`ShardedIndex`] — the server-side dictionary of PRF-labelled,
+//!   individually encrypted entries, split into `2^k` label-prefix-keyed
+//!   shards for parallel builds, lock-free concurrent reads and
+//!   shard-grouped batched search (see [`sharded`]);
+//! * [`storage`] — the one [`Shard`] type, a label table over a ciphertext
+//!   region that is held in memory or read from its shard file in ~64 KiB
+//!   blocks through the index's block cache, selected by a
 //!   [`StorageConfig`] and persisted/reopened with
 //!   [`ShardedIndex::save_to_dir`] / [`ShardedIndex::open_dir`];
 //! * [`external`] — the external-memory `BuildIndex` pipeline: entries
@@ -49,16 +48,15 @@ pub mod storage;
 
 pub use database::SseDatabase;
 pub use external::{build_index_external_with, build_index_fixed_external, SpillOrder};
-pub use fault::{DelayHook, FaultInjectable, FaultInjector, FaultPlan};
+pub use fault::{DelayHook, FaultInjectable, FaultInjector, FaultPlan, FAULT_PATH};
 pub use leakage::{AccessPattern, IndexLeakage, QueryLeakage, SearchPattern};
 pub use pibas::{
-    CipherSpan, EncryptedIndex, IndexLookup, Label, LabelHasher, SearchToken, SseKey, SseScheme,
-    TokenLabeler,
+    CipherSpan, IndexLookup, Label, LabelHasher, SearchToken, SseKey, SseScheme, TokenLabeler,
 };
-pub use sharded::{FaultShard, Shard, ShardedIndex};
+pub use sharded::ShardedIndex;
 pub use storage::{
-    BuildBudget, CacheStats, FileShard, ManagerManifest, ManifestInstance, OwnerMeta, ShardStorage,
-    StorageBackend, StorageConfig, StorageError,
+    BuildBudget, CacheStats, ManagerManifest, ManifestInstance, OwnerMeta, Shard, StorageBackend,
+    StorageConfig, StorageError,
 };
 
 // Test scaffolding shared with downstream crates' persistence tests; not

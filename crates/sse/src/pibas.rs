@@ -12,10 +12,11 @@
 //!
 //! # Storage and build layout (hot path)
 //!
-//! [`EncryptedIndex`] is **arena-backed**: all ciphertexts live in one
-//! contiguous byte buffer, and a `label → (offset, len)` table resolves
-//! lookups — one allocation for the whole index instead of one `Vec<u8>`
-//! per entry, and cache-friendly sequential writes during build.
+//! Every shard of the index ([`Shard`](crate::Shard)) is **arena-backed**:
+//! all its ciphertexts live in one contiguous region, and a
+//! `label → (offset, len)` table resolves lookups — one allocation per
+//! shard instead of one `Vec<u8>` per entry, and cache-friendly sequential
+//! writes during build.
 //!
 //! The lookup table uses [`LabelHasher`], a trivial hasher that folds the
 //! label bytes into a `u64` instead of running SipHash. That is safe *in
@@ -31,10 +32,11 @@
 //! seeds are drawn from the caller's RNG *sequentially* (keeping the build
 //! a deterministic function of key + RNG stream), the per-keyword label
 //! PRF + encryption work runs on all cores, and the chunks are merged into
-//! the arena in keyword order, so the resulting index is deterministic
+//! the shards in keyword order, so the resulting index is deterministic
 //! regardless of thread scheduling.
 
 use crate::database::SseDatabase;
+use crate::storage::StorageError;
 use rand::{CryptoRng, RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 use rayon::prelude::*;
@@ -155,17 +157,17 @@ impl TokenLabeler {
 
 /// A ciphertext resolved by a dictionary probe.
 ///
-/// In-memory arenas hand out plain borrows of their arena bytes; budgeted
-/// disk-backed shards hand out spans **pinned** inside a reference-counted
-/// cache block, which stays alive for as long as the span does even if the
-/// cache evicts the block concurrently. Either way the payload bytes are
+/// In-memory regions hand out plain borrows of their bytes; file-backed
+/// shards hand out spans **pinned** inside a reference-counted cache
+/// block, which stays alive for as long as the span does even if the cache
+/// evicts the block concurrently. Either way the payload bytes are
 /// reached through [`Deref`], so search code never distinguishes the two.
 #[derive(Clone, Debug)]
 pub struct CipherSpan<'a>(SpanRepr<'a>);
 
 #[derive(Clone, Debug)]
 enum SpanRepr<'a> {
-    /// Borrowed straight from an in-memory arena (or a resident block).
+    /// Borrowed straight from an in-memory region.
     Borrowed(&'a [u8]),
     /// Pinned inside a shared cache block; the `Arc` keeps the block's
     /// bytes alive across a concurrent eviction.
@@ -208,28 +210,22 @@ impl PartialEq for CipherSpan<'_> {
 
 impl Eq for CipherSpan<'_> {}
 
-/// Read-side interface shared by the dictionary variants: the single-arena
-/// [`EncryptedIndex`] and the [`ShardedIndex`](crate::sharded::ShardedIndex).
+/// Read-side interface of a dictionary: the [`ShardedIndex`](crate::ShardedIndex)
+/// itself, or a serving layer's guarded view of one.
 ///
 /// Both search algorithms ([`SseScheme::search`] and
 /// [`SseScheme::search_batch_scan`]) are generic over this trait, so they
-/// run unchanged over one arena or over a sharded index.
+/// run unchanged over any shard count, region home or probe guard.
 ///
-/// Probes are **fallible**: a disk-backed index distinguishes "label
-/// absent" (`Ok(None)`) from "the storage failed" (`Err`). The in-memory
-/// backends set [`Error`](Self::Error) to [`std::convert::Infallible`], so
-/// the compiler statically erases every error branch on the hot path —
-/// the fallible API costs the arena layout nothing.
+/// Probes are **fallible**: a file-backed shard distinguishes "label
+/// absent" (`Ok(None)`) from "the storage failed" (`Err`). An in-memory
+/// region never takes the error branch.
 pub trait IndexLookup {
-    /// Probe failure type: [`std::convert::Infallible`] for in-memory
-    /// backends, `StorageError` for disk-backed ones.
-    type Error;
-
     /// Looks up the ciphertext stored under `label`.
     ///
     /// `Ok(None)` means the label is genuinely absent; `Err` means the
     /// backend could not resolve the probe (e.g. a block read failed).
-    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, Self::Error>;
+    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError>;
 
     /// Resolves a batch of probes, writing `out[i] = try_get(&labels[i])?`.
     ///
@@ -242,7 +238,7 @@ pub trait IndexLookup {
         &'a self,
         labels: &[Label],
         out: &mut Vec<Option<CipherSpan<'a>>>,
-    ) -> Result<(), Self::Error> {
+    ) -> Result<(), StorageError> {
         out.clear();
         for label in labels {
             out.push(self.try_get(label)?);
@@ -251,138 +247,8 @@ pub trait IndexLookup {
     }
 }
 
-/// The server-side encrypted index: a flat dictionary from labels to
-/// encrypted payloads, stored as one contiguous ciphertext arena plus a
-/// `label → (offset, len)` table.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use rsse_sse::{EncryptedIndex, SseDatabase, SseScheme, StorageConfig};
-///
-/// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
-/// let key = SseScheme::setup(&mut rng);
-/// let mut db = SseDatabase::new();
-/// db.add(b"keyword".to_vec(), b"payload".to_vec());
-///
-/// // With `shard_bits = 0` the in-memory build is one arena.
-/// let index = SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(0), &mut rng)
-///     .unwrap();
-/// let arena: &EncryptedIndex = index.shards()[0].as_memory().unwrap();
-/// assert_eq!(arena.len(), 1);
-/// let token = SseScheme::trapdoor(&key, b"keyword");
-/// assert_eq!(
-///     SseScheme::search(arena, &token).unwrap(),
-///     vec![b"payload".to_vec()]
-/// );
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct EncryptedIndex {
-    pub(crate) table: LabelTable,
-    pub(crate) arena: Vec<u8>,
-}
-
-impl IndexLookup for EncryptedIndex {
-    type Error = std::convert::Infallible;
-
-    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, Self::Error> {
-        Ok(EncryptedIndex::get(self, label).map(CipherSpan::borrowed))
-    }
-}
-
-impl EncryptedIndex {
-    /// Number of entries in the dictionary (the only thing the index leaks,
-    /// `L1` in the paper's terminology).
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Approximate server-side storage footprint in bytes
-    /// (labels + encrypted payloads).
-    pub fn storage_bytes(&self) -> usize {
-        self.table.len() * LABEL_LEN + self.arena.len()
-    }
-
-    /// Looks up the ciphertext stored under `label`.
-    pub fn get(&self, label: &Label) -> Option<&[u8]> {
-        self.table
-            .get(label)
-            .map(|&(offset, len)| &self.arena[offset as usize..(offset + len) as usize])
-    }
-
-    /// Iterates over the stored ciphertexts (used by leakage-oriented tests).
-    pub fn ciphertexts(&self) -> impl Iterator<Item = &[u8]> {
-        self.table
-            .values()
-            .map(|&(offset, len)| &self.arena[offset as usize..(offset + len) as usize])
-    }
-
-    /// Appends an entry; the value bytes were already appended to the arena
-    /// by the caller at `offset`.
-    fn insert_span(&mut self, label: Label, offset: usize, len: usize) {
-        assert!(
-            offset + len <= u32::MAX as usize,
-            "arena limited to 4 GiB per index; shard the dataset first"
-        );
-        self.table.insert(label, (offset as u32, len as u32));
-    }
-
-    /// Creates an empty index with pre-sized table and arena — the shard
-    /// builder knows both exactly from its tally pass.
-    pub(crate) fn with_capacity(entries: usize, arena_bytes: usize) -> Self {
-        Self {
-            table: LabelTable::with_capacity_and_hasher(entries, BuildHasherDefault::default()),
-            arena: Vec::with_capacity(arena_bytes),
-        }
-    }
-
-    /// Appends one `(label, ciphertext)` entry at the end of the arena.
-    pub(crate) fn append_entry(&mut self, label: Label, ciphertext: &[u8]) {
-        let offset = self.arena.len();
-        self.arena.extend_from_slice(ciphertext);
-        self.insert_span(label, offset, ciphertext.len());
-    }
-
-    /// The `(label, offset, len)` directory sorted by arena offset — the
-    /// deterministic serialization order of the on-disk shard format (arena
-    /// spans tile the region in exactly this order).
-    pub(crate) fn entries_by_offset(&self) -> Vec<(Label, u32, u32)> {
-        let mut entries: Vec<(Label, u32, u32)> = self
-            .table
-            .iter()
-            .map(|(label, &(offset, len))| (*label, offset, len))
-            .collect();
-        entries.sort_unstable_by_key(|&(_, offset, _)| offset);
-        entries
-    }
-
-    /// Raw arena bytes (the ciphertext region of the serialized format).
-    pub(crate) fn arena_raw(&self) -> &[u8] {
-        &self.arena
-    }
-
-    /// Raw arena bytes (used by the byte-identity property tests).
-    #[cfg(test)]
-    pub(crate) fn arena_bytes_raw(&self) -> &[u8] {
-        &self.arena
-    }
-
-    /// Raw label table (used by the byte-identity property tests).
-    #[cfg(test)]
-    pub(crate) fn table_raw(&self) -> &LabelTable {
-        &self.table
-    }
-}
-
 /// One keyword's worth of encrypted entries, produced on a worker thread
-/// and merged into the arena (or distributed across shards) in
-/// deterministic keyword order.
+/// and distributed across the shards in deterministic keyword order.
 pub(crate) struct KeywordChunk {
     /// Entry labels in counter order.
     pub(crate) labels: Vec<Label>,
@@ -440,25 +306,6 @@ pub(crate) fn encrypt_payloads<'a>(
         chunk.spans.push((offset as u32, len as u32));
     }
     chunk
-}
-
-/// Merges per-keyword chunks (already in deterministic keyword order) into
-/// the final arena-backed index.
-pub(crate) fn merge_chunks(chunks: Vec<KeywordChunk>) -> EncryptedIndex {
-    let entries: usize = chunks.iter().map(|c| c.labels.len()).sum();
-    let arena_len: usize = chunks.iter().map(|c| c.buf.len()).sum();
-    let mut index = EncryptedIndex {
-        table: LabelTable::with_capacity_and_hasher(entries, BuildHasherDefault::default()),
-        arena: Vec::with_capacity(arena_len),
-    };
-    for chunk in chunks {
-        let base = index.arena.len();
-        index.arena.extend_from_slice(&chunk.buf);
-        for (label, (offset, len)) in chunk.labels.into_iter().zip(chunk.spans) {
-            index.insert_span(label, base + offset as usize, len as usize);
-        }
-    }
-    index
 }
 
 /// Draws one 32-byte nonce seed per keyword from the caller's RNG.
@@ -587,12 +434,12 @@ impl SseScheme {
     /// A *storage* failure (a disk-backed index that could not read a
     /// block) is never skipped: it aborts the scan with the backend's
     /// typed error, so a caller can distinguish "no more entries" from
-    /// "the disk failed mid-scan". In-memory indexes have
-    /// `Error = Infallible` and cannot take that branch.
+    /// "the disk failed mid-scan". In-memory regions cannot take that
+    /// branch.
     pub fn search<I: IndexLookup>(
         index: &I,
         token: &SearchToken,
-    ) -> Result<Vec<Vec<u8>>, I::Error> {
+    ) -> Result<Vec<Vec<u8>>, StorageError> {
         let cipher = StreamCipher::new(&token.payload_key);
         let labeler = TokenLabeler::new(token);
         let mut results = Vec::new();
@@ -623,7 +470,7 @@ impl SseScheme {
         index: &'a I,
         tokens: &[SearchToken],
         mut visit: impl FnMut(usize, &[u8]),
-    ) -> Result<Vec<usize>, I::Error> {
+    ) -> Result<Vec<usize>, StorageError> {
         let mut counts = vec![0usize; tokens.len()];
         // One cached PRF key schedule per token, shared across rounds (the
         // label-expansion half of the scan, reused by external batch
@@ -701,19 +548,13 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
 
-    /// The single in-memory arena of a `shard_bits = 0` build.
+    /// A `shard_bits = 0` in-memory build: one shard, one arena.
     fn build_arena<R: RngCore + CryptoRng>(
         key: &SseKey,
         db: &SseDatabase,
         rng: &mut R,
-    ) -> EncryptedIndex {
-        let index =
-            SseScheme::build_index_stored(key, db, &crate::StorageConfig::in_memory(0), rng)
-                .unwrap();
-        index.shards()[0]
-            .as_memory()
-            .expect("in-memory build")
-            .clone()
+    ) -> crate::ShardedIndex {
+        SseScheme::build_index_stored(key, db, &crate::StorageConfig::in_memory(0), rng).unwrap()
     }
 
     fn sample_db() -> SseDatabase {
@@ -789,7 +630,7 @@ mod tests {
         let secret = b"super-secret-payload-value".to_vec();
         db.add(b"w".to_vec(), secret.clone());
         let index = build_arena(&key, &db, &mut rng);
-        for value in index.ciphertexts() {
+        for value in index.ciphertexts().unwrap() {
             assert!(!value
                 .windows(secret.len())
                 .any(|window| window == secret.as_slice()));
@@ -871,7 +712,7 @@ mod tests {
         let token = SseScheme::trapdoor(&key, b"w");
         let label_prf = Prf::new(&Key::from_bytes(*token.label_key.as_bytes()));
         let first: Label = label_prf.eval_truncated(&0u64.to_le_bytes());
-        let span = index.table.get_mut(&first).expect("entry exists");
+        let span = index.shards[0].table.get_mut(&first).expect("entry exists");
         span.1 = 3;
 
         // search skips the corrupt entry, still returning the healthy one.
@@ -943,9 +784,17 @@ mod tests {
 
             prop_assert_eq!(arena.len(), reference.dictionary.len());
             for (label, ciphertext) in &reference.dictionary {
-                prop_assert_eq!(arena.get(label), Some(ciphertext.as_slice()),
+                prop_assert_eq!(arena.try_get(label).unwrap().as_deref(), Some(ciphertext.as_slice()),
                     "label spans must match the reference dictionary");
             }
+            // The arena's directory and region bytes, in region order, are
+            // exactly what its saved shard file holds.
+            let dir = crate::storage::test_support::TempDir::new("pibas-arena");
+            arena.save_to_dir(dir.path()).unwrap();
+            prop_assert!(crate::storage::shard_matches_file(
+                &arena.shards()[0],
+                &dir.path().join(crate::storage::shard_file_name(0)),
+            ));
             for (keyword, expected) in db.iter() {
                 let token = SseScheme::trapdoor(&key, keyword);
                 prop_assert_eq!(SseScheme::search(&arena, &token).unwrap(), expected.to_vec());

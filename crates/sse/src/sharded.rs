@@ -1,10 +1,9 @@
 //! Label-prefix sharding of the encrypted dictionary.
 //!
-//! [`ShardedIndex`] splits the flat dictionary of
-//! [`EncryptedIndex`] into `2^k` **shards keyed by
-//! the top `k` bits of the label**: shard `s` owns every entry whose label
-//! prefix is `s`, with its own ciphertext region and bucket directory.
-//! Because labels are owner-side PRF outputs (computationally
+//! [`ShardedIndex`] splits the flat Π_bas dictionary into `2^k` **shards
+//! keyed by the top `k` bits of the label**: shard `s` owns every entry
+//! whose label prefix is `s`, with its own label table and ciphertext
+//! region. Because labels are owner-side PRF outputs (computationally
 //! indistinguishable from uniform — see the [`pibas`](crate::pibas) module
 //! docs), the prefix partition is automatically balanced, and revealing
 //! which shard an entry lives in reveals exactly the label prefix the
@@ -13,45 +12,40 @@
 //!
 //! What sharding buys:
 //!
-//! * **Fully parallel BuildIndex assembly.** The single-arena build ends in
-//!   one sequential "append every chunk to the arena" pass; the sharded
-//!   build replaces it with one *independent* assembly job per shard (after
-//!   a cheap index-scatter pass), so the byte-copying and table insertion
-//!   fan out across cores with no final single-threaded append.
+//! * **Fully parallel BuildIndex assembly.** After a cheap index-scatter
+//!   pass, every shard is one *independent* assembly job, so the
+//!   byte-copying and table insertion fan out across cores.
 //! * **Lock-free concurrent reads.** Shards are plain immutable structs
-//!   behind `&self`; any number of query threads can probe any shards
-//!   simultaneously with no synchronization whatsoever.
-//! * **Bounded arenas.** Each shard has its own 4 GiB arena limit, so
+//!   behind `&self`; any number of query threads can probe in-memory
+//!   shards simultaneously with no synchronization whatsoever.
+//! * **Bounded arenas.** Each shard has its own 4 GiB region limit, so
 //!   `k` shard bits raise the per-index ciphertext capacity `2^k`-fold.
 //! * **Probe locality for batched search.** [`IndexLookup::try_get_many`]
 //!   groups a probe vector by shard, so consecutive lookups hit the same
 //!   (much smaller) table.
-//! * **Pluggable residency.** Since PR 3 each shard is a
-//!   [`ShardStorage`] backend behind the [`Shard`] enum: the in-memory
-//!   arena (byte-identical to the PR 2 layout) or an on-disk
-//!   [`FileShard`] serialized during BuildIndex and
-//!   served via paged reads — see [`StorageConfig`] and the
-//!   [`storage`](crate::storage) module. [`ShardedIndex::save_to_dir`] and
-//!   [`ShardedIndex::open_dir`] persist an index across processes.
 //!
-//! With `k = 0` the in-memory index is a single [`EncryptedIndex`] arena
-//! holding **byte-identical** entries to the reference per-entry
-//! dictionary (`pibas::reference`) — the property test
+//! Every shard is one [`Shard`] — a label table over a ciphertext region
+//! held in memory or read from the shard file through the index's one
+//! block cache — selected by a [`StorageConfig`] (see the
+//! [`storage`](crate::storage) module). [`ShardedIndex::save_to_dir`] and
+//! [`ShardedIndex::open_dir`] persist an index across processes.
+//!
+//! With `k = 0` the in-memory index is a single shard holding
+//! **byte-identical** entries to the reference per-entry dictionary
+//! (`pibas::reference`) — the property test
 //! `unsharded_is_byte_identical_to_plain_arena` pins this, so the sharded
 //! type is a strict generalization, not a fork.
 
 use crate::database::SseDatabase;
-use crate::pibas::{
-    merge_chunks, CipherSpan, EncryptedIndex, IndexLookup, KeywordChunk, Label, SearchToken,
-    SseKey, SseScheme,
-};
+use crate::fault::FaultInjector;
+use crate::pibas::{CipherSpan, IndexLookup, KeywordChunk, Label, SearchToken, SseKey, SseScheme};
 use crate::storage::{
-    merge_shard_files, open_shards_from_dir, read_manifest, save_shards_to_dir, shard_file_name,
-    write_chunk_shard, write_manifest, BlockCache, CacheStats, FileShard, ShardStorage,
-    StorageBackend, StorageConfig, StorageError,
+    cleanup_partial_index, merge_shards, open_shards_from_dir, save_shards_to_dir, write_manifest,
+    BlockCache, CacheStats, Shard, ShardHome, StorageBackend, StorageConfig, StorageError,
 };
 use rand::{CryptoRng, RngCore};
 use rayon::prelude::*;
+use std::fmt;
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
@@ -70,136 +64,13 @@ pub(crate) fn shard_of_label(label: &Label, bits: u32) -> usize {
     (prefix >> (64 - bits)) as usize
 }
 
-/// One shard of the dictionary behind a concrete [`ShardStorage`] backend.
+/// An encrypted dictionary split into `2^k` label-prefix-keyed [`Shard`]s,
+/// each a label table over its own ciphertext region.
 ///
-/// The query algorithms never see this enum (they are generic over
-/// [`IndexLookup`] on the whole index); it exists so one [`ShardedIndex`]
-/// type can hold either representation without infecting every server
-/// struct with a type parameter.
-#[derive(Clone, Debug)]
-pub enum Shard {
-    /// The in-memory ciphertext arena (PR 2 layout, byte-identical).
-    Memory(EncryptedIndex),
-    /// A disk-resident shard served via paged reads.
-    File(FileShard),
-    /// A fault-injection wrapper around another shard (test support; see
-    /// the [`fault`](crate::fault) module).
-    Fault(FaultShard),
-}
-
-impl Shard {
-    /// The in-memory backend of this shard, if that is what it is.
-    pub fn as_memory(&self) -> Option<&EncryptedIndex> {
-        match self {
-            Shard::Memory(index) => Some(index),
-            Shard::File(_) | Shard::Fault(_) => None,
-        }
-    }
-
-    /// The file backend of this shard, if that is what it is.
-    pub fn as_file(&self) -> Option<&FileShard> {
-        match self {
-            Shard::Memory(_) | Shard::Fault(_) => None,
-            Shard::File(shard) => Some(shard),
-        }
-    }
-
-    /// The shard underneath any fault-injection wrappers.
-    pub(crate) fn unwrap_faults(&self) -> &Shard {
-        let mut shard = self;
-        while let Shard::Fault(fault) = shard {
-            shard = &fault.inner;
-        }
-        shard
-    }
-
-    /// Returns this shard's stored ciphertexts (copied out; used by
-    /// leakage-oriented tests and tooling).
-    pub fn ciphertexts(&self) -> Result<Vec<Vec<u8>>, StorageError> {
-        match self.unwrap_faults() {
-            Shard::Memory(index) => Ok(index.ciphertexts().map(<[u8]>::to_vec).collect()),
-            Shard::File(shard) => shard.ciphertexts(),
-            Shard::Fault(_) => unreachable!("unwrap_faults removes fault wrappers"),
-        }
-    }
-}
-
-impl ShardStorage for Shard {
-    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
-        match self {
-            Shard::Memory(index) => Ok(index.get(label).map(CipherSpan::borrowed)),
-            Shard::File(shard) => ShardStorage::try_get(shard, label),
-            Shard::Fault(fault) => ShardStorage::try_get(fault, label),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Shard::Memory(index) => index.len(),
-            Shard::File(shard) => ShardStorage::len(shard),
-            Shard::Fault(fault) => ShardStorage::len(fault),
-        }
-    }
-
-    fn storage_bytes(&self) -> usize {
-        match self {
-            Shard::Memory(index) => index.storage_bytes(),
-            Shard::File(shard) => ShardStorage::storage_bytes(shard),
-            Shard::Fault(fault) => ShardStorage::storage_bytes(fault),
-        }
-    }
-}
-
-/// A [`ShardStorage`] wrapper that routes every probe through a shared
-/// [`FaultInjector`](crate::fault::FaultInjector) before delegating to the
-/// wrapped shard — failing probes surface as typed [`StorageError::Io`]s,
-/// exactly what a real failed block read produces.
-///
-/// The injector is shared across every shard wrapped in one
-/// [`FaultInjectable`](crate::fault::FaultInjectable) injection call (and
-/// across clones), so probe counting is global: "the N-th block read of the
-/// index fails" holds regardless of which shard the N-th probe lands in.
-/// Used by the fault-injection tests and the chaos harness; a production
-/// index never contains fault wrappers.
-#[derive(Clone, Debug)]
-pub struct FaultShard {
-    inner: Box<Shard>,
-    /// The wrapped shard's id (label-prefix value) — the unit of per-shard
-    /// fault targeting.
-    shard_id: u32,
-    /// The shared fault-decision state (see the [`fault`](crate::fault)
-    /// module).
-    injector: Arc<crate::fault::FaultInjector>,
-}
-
-impl FaultShard {
-    /// The synthetic path reported by injected failures.
-    pub const FAULT_PATH: &'static str = "<injected-fault>";
-}
-
-impl ShardStorage for FaultShard {
-    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
-        self.injector.decide(self.shard_id)?;
-        ShardStorage::try_get(&*self.inner, label)
-    }
-
-    fn len(&self) -> usize {
-        ShardStorage::len(&*self.inner)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        ShardStorage::storage_bytes(&*self.inner)
-    }
-}
-
-/// An encrypted dictionary split into `2^k` label-prefix-keyed shards, each
-/// an independent ciphertext region plus bucket directory behind a
-/// [`ShardStorage`] backend.
-///
-/// Searched with the exact same tokens and algorithms as the flat
-/// [`EncryptedIndex`] — every search entry point is generic over
-/// [`IndexLookup`] — and guaranteed to hold the same `(label, ciphertext)`
-/// pairs for the same build inputs, whatever `k` or the backend is.
+/// Searched with the exact same tokens and algorithms at every `k` —
+/// every search entry point is generic over [`IndexLookup`] — and
+/// guaranteed to hold the same `(label, ciphertext)` pairs for the same
+/// build inputs, whatever `k` or the region home is.
 ///
 /// # Examples
 ///
@@ -251,31 +122,98 @@ impl ShardStorage for FaultShard {
 /// );
 /// # std::fs::remove_dir_all(&dir).unwrap();
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct ShardedIndex {
     /// Number of label-prefix bits selecting the shard (`k`).
     bits: u32,
     /// The `2^k` shards, indexed by label prefix.
-    shards: Vec<Shard>,
+    pub(crate) shards: Vec<Shard>,
+    /// The one block cache every file-backed shard reads its region
+    /// through (idle for an in-memory index).
+    cache: Arc<BlockCache>,
+    /// Fault injectors in attach order, consulted newest first before
+    /// every probe (test support; a production index has none — see the
+    /// [`fault`](crate::fault) module).
+    faults: Vec<Arc<FaultInjector>>,
+}
+
+impl fmt::Debug for ShardedIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ShardedIndex")
+            .field("bits", &self.bits)
+            .field("shards", &self.shards)
+            .field("cache", &self.cache_stats())
+            .field("fault_injectors", &self.faults.len())
+            .finish()
+    }
 }
 
 impl Default for ShardedIndex {
     /// An empty unsharded (`k = 0`) in-memory index.
     fn default() -> Self {
-        Self {
-            bits: 0,
-            shards: vec![Shard::Memory(EncryptedIndex::default())],
-        }
+        Self::from_parts(0, vec![Shard::default()], Arc::new(BlockCache::new(None)))
     }
 }
 
 impl ShardedIndex {
-    /// Assembles an index from already-built shards (the external-memory
-    /// build path constructs its shards incrementally instead of through
-    /// [`shard_chunks`]). `shards.len()` must be `2^bits`.
-    pub(crate) fn from_parts(bits: u32, shards: Vec<Shard>) -> Self {
+    /// Assembles an index from already-built shards and the block cache
+    /// their file-backed regions read through. `shards.len()` must be
+    /// `2^bits`.
+    pub(crate) fn from_parts(bits: u32, shards: Vec<Shard>, cache: Arc<BlockCache>) -> Self {
         debug_assert_eq!(shards.len(), 1usize << bits);
-        Self { bits, shards }
+        Self {
+            bits,
+            shards,
+            cache,
+            faults: Vec::new(),
+        }
+    }
+
+    /// Produces the `2^bits` shards of a new index in `backend`, in
+    /// parallel: `assemble(home, s)` builds shard `s`. On disk the
+    /// manifest is written first and a failure sweeps the partial output
+    /// before the error propagates; file-backed shards share one block
+    /// cache bounded by `cache_budget`.
+    fn produce(
+        bits: u32,
+        backend: &StorageBackend,
+        cache_budget: Option<usize>,
+        assemble: impl Fn(&ShardHome<'_>, usize) -> Result<Shard, StorageError> + Sync,
+    ) -> Result<Self, StorageError> {
+        assert!(
+            bits <= MAX_SHARD_BITS,
+            "shard bits {bits} exceeds MAX_SHARD_BITS ({MAX_SHARD_BITS})"
+        );
+        let cache = Arc::new(BlockCache::new(cache_budget));
+        let all = |home: &ShardHome<'_>| {
+            let results: Vec<Result<Shard, StorageError>> = (0..1usize << bits)
+                .collect::<Vec<_>>()
+                .into_par_iter()
+                .map(|s| assemble(home, s))
+                .collect();
+            results
+                .into_iter()
+                .collect::<Result<Vec<Shard>, StorageError>>()
+        };
+        let shards = match backend {
+            StorageBackend::InMemory => all(&ShardHome::Memory)?,
+            StorageBackend::OnDisk(dir) => {
+                fs::create_dir_all(dir).map_err(|e| StorageError::Io {
+                    path: dir.to_path_buf(),
+                    error: e,
+                })?;
+                let built = write_manifest(dir, bits)
+                    .and_then(|()| all(&ShardHome::Disk { dir, cache: &cache }));
+                if built.is_err() {
+                    // Don't leave a half-written index behind for any caller
+                    // (the update manager additionally removes the
+                    // directories it owns).
+                    cleanup_partial_index(dir, 1usize << bits);
+                }
+                built?
+            }
+        };
+        Ok(Self::from_parts(bits, shards, cache))
     }
 
     /// The number of label-prefix bits selecting a shard (`k`).
@@ -294,11 +232,9 @@ impl ShardedIndex {
     }
 
     /// Whether the shards are served from disk (paged reads) rather than
-    /// from in-memory arenas.
+    /// from memory.
     pub fn is_file_backed(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|s| matches!(s.unwrap_faults(), Shard::File(_)))
+        self.shards.iter().any(Shard::is_file_backed)
     }
 
     /// The shard an entry with this label would live in.
@@ -309,36 +245,33 @@ impl ShardedIndex {
     /// Total number of entries across all shards (the index-size leakage,
     /// identical to the unsharded build's).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(ShardStorage::len).sum()
+        self.shards.iter().map(Shard::len).sum()
     }
 
     /// Whether no shard holds any entry.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(ShardStorage::is_empty)
+        self.shards.iter().all(Shard::is_empty)
     }
 
     /// Approximate server-side storage footprint in bytes
     /// (labels + encrypted payloads, summed over shards) — independent of
     /// where the bytes live.
     pub fn storage_bytes(&self) -> usize {
-        self.shards.iter().map(ShardStorage::storage_bytes).sum()
+        self.shards.iter().map(Shard::storage_bytes).sum()
     }
 
-    /// Bytes currently resident in memory: in-memory shards count in full,
-    /// file-backed shards count their bucket directory plus the region
-    /// blocks faulted in so far (bounded by the cache budget when one is
-    /// set). This is the number the spill-to-disk backend exists to bound.
+    /// Bytes currently resident in memory: every label table, every
+    /// in-memory region in full, and the file-backed regions' blocks held
+    /// by the block cache (bounded by the cache budget when one is set).
+    /// This is the number the spill-to-disk backend exists to bound.
     pub fn resident_bytes(&self) -> usize {
-        self.shards
+        let memory_regions: usize = self
+            .shards
             .iter()
-            .map(|shard| match shard.unwrap_faults() {
-                Shard::Memory(index) => index.storage_bytes(),
-                Shard::File(file) => {
-                    ShardStorage::len(file) * crate::pibas::LABEL_LEN + file.resident_bytes()
-                }
-                Shard::Fault(_) => unreachable!("unwrap_faults removes fault wrappers"),
-            })
-            .sum()
+            .filter(|shard| !shard.is_file_backed())
+            .map(Shard::region_len)
+            .sum();
+        self.len() * crate::pibas::LABEL_LEN + memory_regions + self.cache.stats().resident_bytes
     }
 
     /// Number of paged block reads that have failed across all file-backed
@@ -346,51 +279,31 @@ impl ShardedIndex {
     /// surface as typed [`StorageError`]s from the probing search; this is
     /// the aggregate operator-side counter of how often that happened.
     pub fn read_errors(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| match shard.unwrap_faults() {
-                Shard::File(file) => file.read_errors(),
-                _ => 0,
-            })
-            .sum()
+        self.shards.iter().map(Shard::read_errors).sum()
     }
 
-    /// Aggregated block-cache counters of all file-backed shards: probe
-    /// hits and misses, evictions performed to stay inside the
-    /// [`StorageConfig::cache_budget`], and the ciphertext-block bytes
-    /// currently resident (always 0 hits/misses/resident for a fully
-    /// in-memory index, whose arenas bypass the block layer).
+    /// The block cache's counters: probe hits and misses, evictions
+    /// performed to stay inside the [`StorageConfig::cache_budget`], and
+    /// the ciphertext-block bytes currently resident (all 0 for an
+    /// in-memory index, whose probes never reach the cache).
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        let mut caches: Vec<*const BlockCache> = Vec::new();
-        for shard in &self.shards {
-            if let Shard::File(file) = shard.unwrap_faults() {
-                let shard_stats = file.cache_stats();
-                stats.hits += shard_stats.hits;
-                stats.misses += shard_stats.misses;
-                match file.block_cache() {
-                    Some(cache) => {
-                        let ptr = Arc::as_ptr(cache);
-                        if !caches.contains(&ptr) {
-                            caches.push(ptr);
-                            stats.evictions += cache.evictions();
-                            stats.resident_bytes += cache.resident_bytes();
-                        }
-                    }
-                    None => stats.resident_bytes += shard_stats.resident_bytes,
-                }
-            }
+        self.cache.stats()
+    }
+
+    /// Probes shard `shard` for `label`, after the fault injectors.
+    fn probe(&self, shard: usize, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
+        for injector in self.faults.iter().rev() {
+            injector.decide(shard as u32)?;
         }
-        stats
+        self.shards[shard].try_get(label)
     }
 
     /// Looks up the ciphertext stored under `label` in its shard.
     ///
     /// `Ok(None)` means the label is absent; `Err` means the storage
-    /// backend failed to resolve the probe (never happens for in-memory
-    /// shards).
+    /// failed to resolve the probe (never happens for in-memory shards).
     pub fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
-        ShardStorage::try_get(&self.shards[self.shard_of(label)], label)
+        self.probe(self.shard_of(label), label)
     }
 
     /// Returns all stored ciphertexts (shard order, copied out; used by
@@ -403,24 +316,17 @@ impl ShardedIndex {
         Ok(out)
     }
 
-    /// Wraps every shard in a [`FaultShard`] consulting the given shared
-    /// [`FaultInjector`](crate::fault::FaultInjector) — the primitive
-    /// underneath the [`FaultInjectable`](crate::fault::FaultInjectable)
-    /// trait, which is the surface tests should use. Test support; a
-    /// production index never contains fault wrappers.
-    pub fn attach_fault_injector(&mut self, injector: &Arc<crate::fault::FaultInjector>) {
-        for (shard_id, shard) in self.shards.iter_mut().enumerate() {
-            let inner = Box::new(shard.clone());
-            *shard = Shard::Fault(FaultShard {
-                inner,
-                shard_id: shard_id as u32,
-                injector: Arc::clone(injector),
-            });
-        }
+    /// Routes every later probe through the given shared
+    /// [`FaultInjector`] — the primitive underneath the
+    /// [`FaultInjectable`](crate::fault::FaultInjectable) trait, which is
+    /// the surface tests should use. Injectors stack: the newest decides
+    /// first. Test support; a production index never has one.
+    pub fn attach_fault_injector(&mut self, injector: &Arc<FaultInjector>) {
+        self.faults.push(Arc::clone(injector));
     }
 
     /// Serializes every shard (plus an `index.meta` manifest) into `dir`,
-    /// creating it if needed. Works for both backends; shard files are
+    /// creating it if needed. Works for every region home; shard files are
     /// written in parallel and the output is deterministic, so saving the
     /// same index twice produces byte-identical directories.
     pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> Result<(), StorageError> {
@@ -429,7 +335,7 @@ impl ShardedIndex {
 
     /// Cold-opens an index previously written by [`save_to_dir`] (or built
     /// straight to disk through a [`StorageConfig::on_disk`] build): loads
-    /// each shard's bucket directory, leaves the ciphertext regions on
+    /// each shard's label directory, leaves the ciphertext regions on
     /// disk, and serves them through paged reads.
     ///
     /// # Errors
@@ -455,18 +361,16 @@ impl ShardedIndex {
         dir: impl AsRef<Path>,
         cache_budget: Option<usize>,
     ) -> Result<Self, StorageError> {
-        let (bits, shards) = open_shards_from_dir(dir.as_ref(), cache_budget)?;
-        Ok(Self {
-            bits,
-            shards: shards.into_iter().map(Shard::File).collect(),
-        })
+        let cache = Arc::new(BlockCache::new(cache_budget));
+        let (bits, shards) = open_shards_from_dir(dir.as_ref(), Some(&cache))?;
+        Ok(Self::from_parts(bits, shards, cache))
     }
 
     /// Opens a saved index directory fully **memory-resident**: every
-    /// shard's ciphertext region is loaded into an in-memory arena whose
-    /// bytes, entry order and offset table are exactly what the shard file
-    /// serializes — so a resident open, a paged open, and the index that
-    /// was originally saved all resolve every label to identical bytes.
+    /// shard's ciphertext region is read into memory under exactly the
+    /// directory its file serializes — so a resident open, a paged open,
+    /// and the index that was originally saved all resolve every label to
+    /// identical bytes.
     ///
     /// This is the restore path for hosts where the index fits in RAM (the
     /// update manager's `storage_root: None` reopen uses it for
@@ -474,29 +378,37 @@ impl ShardedIndex {
     /// reproducible from a rebuild).
     pub fn open_dir_resident(dir: impl AsRef<Path>) -> Result<Self, StorageError> {
         let (bits, shards) = open_shards_from_dir(dir.as_ref(), None)?;
-        let loaded: Vec<Result<Shard, StorageError>> = shards
-            .into_par_iter()
-            .map(|shard| shard.to_memory().map(Shard::Memory))
-            .collect();
-        let shards = loaded
-            .into_iter()
-            .collect::<Result<Vec<Shard>, StorageError>>()?;
-        Ok(Self { bits, shards })
+        Ok(Self::from_parts(
+            bits,
+            shards,
+            Arc::new(BlockCache::new(None)),
+        ))
     }
 
-    /// Structurally merges `inputs` into one in-memory index: per shard,
-    /// the inputs' ciphertext arenas are concatenated **verbatim** in input
-    /// order and the label table is re-emitted over the rebased offsets.
-    /// No ciphertext is decrypted or re-encrypted; the merged index stores
-    /// exactly the union of the inputs' `(label, ciphertext)` pairs.
+    /// Structurally merges `inputs` into one index in the backend `config`
+    /// selects (on disk: written into its directory, paged through a cache
+    /// bounded by `config.cache_budget`). Per shard, the inputs' ciphertext
+    /// regions are concatenated **verbatim** in input order and the label
+    /// directory re-emitted over the rebased offsets, whether each input's
+    /// region is in memory or in a file. No ciphertext is decrypted or
+    /// re-encrypted; the merged index stores exactly the union of the
+    /// inputs' `(label, ciphertext)` pairs. `config.shard_bits` is ignored:
+    /// the inputs' layout carries over.
+    ///
+    /// An on-disk output follows the commit discipline of the streamed
+    /// build: `index.meta` first, shard files after (each tmp+renamed), and
+    /// any failure sweeps the partial output before the error propagates.
+    /// The caller owns the durable commit record (the update manager
+    /// writes its `owner.meta` sidecar last).
     ///
     /// # Errors
     ///
     /// [`StorageError::Unsupported`] — the caller's fall-back-to-rebuild
-    /// signal — if the inputs disagree on shard bits, any input shard is
-    /// not memory-resident, a merged arena would exceed the 4 GiB bound,
-    /// or two inputs store the same label (a cross-part PRF collision).
-    pub fn merge_in_memory(inputs: &[&ShardedIndex]) -> Result<Self, StorageError> {
+    /// signal — if there are no inputs, they disagree on shard bits, a
+    /// merged shard would exceed the 4 GiB region bound, or two inputs
+    /// store the same label (a cross-part PRF collision). All other
+    /// failures surface as the usual typed errors.
+    pub fn merge(inputs: &[&ShardedIndex], config: &StorageConfig) -> Result<Self, StorageError> {
         let bits = match inputs.first() {
             Some(first) => first.bits,
             None => return Err(StorageError::Unsupported("structural merge of zero inputs")),
@@ -506,124 +418,14 @@ impl ShardedIndex {
                 "structural merge across differing shard layouts",
             ));
         }
-        let shards = (0..1usize << bits)
-            .map(|s| {
-                let parts = inputs
-                    .iter()
-                    .map(|index| {
-                        index.shards[s].as_memory().ok_or(StorageError::Unsupported(
-                            "structural in-memory merge of a non-resident shard",
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, StorageError>>()?;
-                let entries: usize = parts.iter().map(|part| part.len()).sum();
-                let bytes: u64 = parts.iter().map(|part| part.arena_raw().len() as u64).sum();
-                if bytes > u64::from(u32::MAX) {
-                    return Err(StorageError::Unsupported(
-                        "structural shard merge past the 4 GiB region bound",
-                    ));
-                }
-                let mut merged = EncryptedIndex::with_capacity(entries, bytes as usize);
-                for part in parts {
-                    for (label, offset, len) in part.entries_by_offset() {
-                        if merged.get(&label).is_some() {
-                            return Err(StorageError::Unsupported(
-                                "structural shard merge with a cross-part label collision",
-                            ));
-                        }
-                        merged.append_entry(
-                            label,
-                            &part.arena_raw()[offset as usize..(offset as usize + len as usize)],
-                        );
-                    }
-                }
-                Ok(Shard::Memory(merged))
-            })
-            .collect::<Result<Vec<Shard>, StorageError>>()?;
-        Ok(Self { bits, shards })
-    }
-
-    /// Structurally merges saved index directories into a new index
-    /// directory at `out`: per shard, the inputs' shard files are merged
-    /// by `merge_shard_files` — ciphertext regions concatenated verbatim
-    /// in input order, directory re-emitted with rebased offsets — and the
-    /// merged files are opened as paged [`FileShard`]s (sharing one
-    /// budgeted block cache when `cache_budget` is set).
-    ///
-    /// The output directory follows the standard commit discipline of the
-    /// streamed build: `index.meta` is written first, shard files after
-    /// (each tmp+renamed), and any failure sweeps the partial output
-    /// before the error propagates. The caller owns the durable commit
-    /// record (the update manager writes its `owner.meta` sidecar last).
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::Unsupported`] if the inputs disagree on shard bits,
-    /// a merged shard would exceed the 4 GiB region bound, or two inputs
-    /// store the same label — the caller's signal to fall back to a
-    /// rebuild. All other failures surface as the usual typed errors.
-    pub fn merge_dirs(
-        inputs: &[&Path],
-        out: &Path,
-        cache_budget: Option<usize>,
-    ) -> Result<Self, StorageError> {
-        let opened = inputs
-            .iter()
-            .map(|dir| open_shards_from_dir(dir, None))
-            .collect::<Result<Vec<(u32, Vec<FileShard>)>, StorageError>>()?;
-        let bits = match opened.first() {
-            Some(&(bits, _)) => bits,
-            None => return Err(StorageError::Unsupported("structural merge of zero inputs")),
-        };
-        if opened.iter().any(|&(b, _)| b != bits) {
-            return Err(StorageError::Unsupported(
-                "structural merge across differing shard layouts",
-            ));
-        }
-        fs::create_dir_all(out).map_err(|e| StorageError::Io {
-            path: out.to_path_buf(),
-            error: e,
-        })?;
-        let built = (|| {
-            write_manifest(out, bits)?;
-            let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
-            let results: Vec<Result<Shard, StorageError>> = (0..1usize << bits)
-                .collect::<Vec<_>>()
-                .into_par_iter()
-                .map(|s| {
-                    let parts: Vec<FileShard> =
-                        opened.iter().map(|(_, shards)| shards[s].clone()).collect();
-                    let path = out.join(shard_file_name(s));
-                    merge_shard_files(&parts, &path)?;
-                    match &cache {
-                        Some(cache) => FileShard::open_cached(&path, s as u32, Arc::clone(cache))
-                            .map(Shard::File),
-                        None => FileShard::open(&path).map(Shard::File),
-                    }
-                })
-                .collect();
-            let shards = results
-                .into_iter()
-                .collect::<Result<Vec<Shard>, StorageError>>()?;
-            Ok(ShardedIndex { bits, shards })
-        })();
-        if built.is_err() {
-            crate::storage::cleanup_partial_index(out, 1usize << bits);
-        }
-        built
-    }
-
-    /// Validates that `dir` holds a saved index with this layout's shard
-    /// bits (cheap manifest read — used by merge planning to reject
-    /// mismatched inputs before any shard file is touched).
-    pub fn dir_shard_bits(dir: impl AsRef<Path>) -> Result<u32, StorageError> {
-        read_manifest(dir.as_ref())
+        Self::produce(bits, &config.backend, config.cache_budget, |home, s| {
+            let parts: Vec<&Shard> = inputs.iter().map(|index| &index.shards[s]).collect();
+            merge_shards(home, s, &parts)
+        })
     }
 }
 
 impl IndexLookup for ShardedIndex {
-    type Error = StorageError;
-
     fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
         ShardedIndex::try_get(self, label)
     }
@@ -657,8 +459,7 @@ impl IndexLookup for ShardedIndex {
             .collect();
         order.sort_unstable();
         for (shard, slot) in order {
-            out[slot as usize] =
-                ShardStorage::try_get(&self.shards[shard as usize], &labels[slot as usize])?;
+            out[slot as usize] = self.probe(shard as usize, &labels[slot as usize])?;
         }
         Ok(())
     }
@@ -668,153 +469,70 @@ impl IndexLookup for ShardedIndex {
 /// in global order, plus the exact ciphertext byte tally.
 type ShardJob = (Vec<(u32, u32)>, usize);
 
-/// The per-entry shard scatter shared by the in-memory and on-disk builds:
-/// per-shard member lists (chunk, entry index pairs in global order) plus
-/// each shard's exact ciphertext byte tally.
+/// The per-entry shard scatter: per-shard member lists (chunk, entry index
+/// pairs in global order) plus each shard's exact ciphertext byte tally.
+/// Only index pairs move here — O(entries) u32 writes — not ciphertext
+/// bytes; the byte copying in the assembly pass is parallel per shard.
 fn scatter_members(bits: u32, chunks: &[KeywordChunk]) -> Vec<ShardJob> {
     let shard_count = 1usize << bits;
-
-    // Pass 1: per-entry shard ids (parallel across chunks).
-    let shard_ids: Vec<Vec<u16>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            chunk
-                .labels
-                .iter()
-                .map(|label| shard_of_label(label, bits) as u16)
-                .collect()
-        })
-        .collect();
-
-    // Pass 2: index scatter. Only (chunk, entry) index pairs move here —
-    // O(entries) u32 writes — not ciphertext bytes; the byte copying in the
-    // assembly passes is fully parallel per shard.
     let mut members: Vec<Vec<(u32, u32)>> = (0..shard_count).map(|_| Vec::new()).collect();
     let mut arena_bytes: Vec<usize> = vec![0; shard_count];
-    for (c, ids) in shard_ids.iter().enumerate() {
-        for (e, &shard) in ids.iter().enumerate() {
-            members[shard as usize].push((c as u32, e as u32));
-            arena_bytes[shard as usize] += chunks[c].spans[e].1 as usize;
+    for (c, chunk) in chunks.iter().enumerate() {
+        for (e, (label, &(_, len))) in chunk.labels.iter().zip(&chunk.spans).enumerate() {
+            let shard = shard_of_label(label, bits);
+            members[shard].push((c as u32, e as u32));
+            arena_bytes[shard] += len as usize;
         }
     }
     members.into_iter().zip(arena_bytes).collect()
 }
 
-/// Distributes per-keyword chunks over `2^bits` shards and assembles every
-/// shard's arena + table **in parallel**.
+/// The BuildIndex tail: distributes per-keyword chunks over
+/// `2^config.shard_bits` shards and assembles every shard **in parallel**
+/// in the backend `config` selects.
 ///
-/// Three passes:
-/// 1. per-entry shard ids, computed in parallel across chunks;
-/// 2. a cheap sequential scatter building each shard's member list (indices
-///    only — no ciphertext bytes move here) together with its exact entry
-///    and byte tallies;
-/// 3. one independent assembly job per shard, in parallel: append the
-///    member ciphertexts to the shard arena (pre-sized exactly) and insert
-///    the labels.
-///
-/// Entries keep the global `(keyword, counter)` order within each shard, so
-/// the result is deterministic regardless of thread scheduling, and with
-/// `bits == 0` the single shard is one arena assembled by the sequential
-/// [`merge_chunks`] pass.
-pub(crate) fn shard_chunks(bits: u32, chunks: Vec<KeywordChunk>) -> ShardedIndex {
-    assert!(
-        bits <= MAX_SHARD_BITS,
-        "shard bits {bits} exceeds MAX_SHARD_BITS ({MAX_SHARD_BITS})"
-    );
-    if bits == 0 {
-        return ShardedIndex {
-            bits,
-            shards: vec![Shard::Memory(merge_chunks(chunks))],
-        };
-    }
-
-    let jobs = scatter_members(bits, &chunks);
-
-    // Pass 3: per-shard assembly (parallel across shards, lock-free — each
-    // job reads the shared chunks and writes only its own shard).
-    let shards: Vec<Shard> = jobs
-        .into_par_iter()
-        .map(|(member_list, bytes)| {
-            let mut shard = EncryptedIndex::with_capacity(member_list.len(), bytes);
-            for (c, e) in member_list {
-                let chunk = &chunks[c as usize];
-                let (offset, len) = chunk.spans[e as usize];
-                shard.append_entry(
-                    chunk.labels[e as usize],
-                    &chunk.buf[offset as usize..(offset + len) as usize],
-                );
-            }
-            Shard::Memory(shard)
-        })
-        .collect();
-    ShardedIndex { bits, shards }
-}
-
-/// Backend-dispatching variant of [`shard_chunks`]: in-memory configs run
-/// the parallel arena assembly; on-disk configs stream every shard straight
-/// into its serialized file (same entry order, hence the same bytes a
-/// `save_to_dir` of the in-memory build would write) and reopen the files
-/// as paged [`FileShard`]s.
-pub(crate) fn shard_chunks_stored(
+/// Two passes: the cheap sequential [`scatter_members`] pass (indices
+/// only — no ciphertext bytes move), then one independent assembly job per shard
+/// appending its member ciphertexts — into an exactly pre-sized region in
+/// memory, or straight into its shard file on disk (no intermediate
+/// arena). Entries keep the global `(keyword, counter)` order within each
+/// shard, so the result is deterministic regardless of thread scheduling
+/// and both backends hold the same bytes.
+fn shard_chunks(
     config: &StorageConfig,
     chunks: Vec<KeywordChunk>,
 ) -> Result<ShardedIndex, StorageError> {
-    match &config.backend {
-        StorageBackend::InMemory => Ok(shard_chunks(config.shard_bits, chunks)),
-        StorageBackend::OnDisk(dir) => {
-            shard_chunks_to_dir(config.shard_bits, chunks, dir, config.cache_budget)
-        }
-    }
-}
-
-/// The on-disk BuildIndex tail: writes each shard's serialized file
-/// directly from the per-keyword chunks (no intermediate arena), in
-/// parallel across shards, then opens them as paged [`FileShard`]s
-/// (sharing one budgeted block cache when `cache_budget` is set).
-fn shard_chunks_to_dir(
-    bits: u32,
-    chunks: Vec<KeywordChunk>,
-    dir: &Path,
-    cache_budget: Option<usize>,
-) -> Result<ShardedIndex, StorageError> {
-    assert!(
-        bits <= MAX_SHARD_BITS,
-        "shard bits {bits} exceeds MAX_SHARD_BITS ({MAX_SHARD_BITS})"
-    );
-    fs::create_dir_all(dir).map_err(|e| StorageError::Io {
-        path: dir.to_path_buf(),
-        error: e,
-    })?;
-    let built = (|| {
-        write_manifest(dir, bits)?;
-        let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
-        let jobs: Vec<(usize, ShardJob)> = scatter_members(bits, &chunks)
-            .into_iter()
-            .enumerate()
-            .collect();
-        let results: Vec<Result<Shard, StorageError>> =
-            jobs.into_par_iter()
-                .map(|(i, (member_list, bytes))| {
-                    let path = dir.join(shard_file_name(i));
-                    write_chunk_shard(&path, &chunks, &member_list, bytes)?;
-                    match &cache {
-                        Some(cache) => FileShard::open_cached(&path, i as u32, Arc::clone(cache))
-                            .map(Shard::File),
-                        None => FileShard::open(&path).map(Shard::File),
+    let jobs = scatter_members(config.shard_bits, &chunks);
+    ShardedIndex::produce(
+        config.shard_bits,
+        &config.backend,
+        config.cache_budget,
+        |home, s| {
+            let (members, region_len) = &jobs[s];
+            let span = |&(c, e): &(u32, u32)| {
+                let chunk = &chunks[c as usize];
+                let (offset, len) = chunk.spans[e as usize];
+                (chunk.labels[e as usize], offset as usize, len)
+            };
+            home.assemble(
+                s,
+                members.len(),
+                *region_len,
+                members.iter().map(|member| {
+                    let (label, _, len) = span(member);
+                    (label, len)
+                }),
+                |writer| {
+                    for member in members {
+                        let (_, offset, len) = span(member);
+                        let buf = &chunks[member.0 as usize].buf;
+                        writer.write_all(&buf[offset..offset + len as usize])?;
                     }
-                })
-                .collect();
-        let shards = results
-            .into_iter()
-            .collect::<Result<Vec<Shard>, StorageError>>()?;
-        Ok(ShardedIndex { bits, shards })
-    })();
-    if built.is_err() {
-        // Don't leave a half-written index behind for any caller (the
-        // update manager additionally removes the directories it owns).
-        crate::storage::cleanup_partial_index(dir, 1usize << bits);
-    }
-    built
+                    Ok(())
+                },
+            )
+        },
+    )
 }
 
 impl SseScheme {
@@ -830,7 +548,7 @@ impl SseScheme {
         config: &StorageConfig,
         rng: &mut R,
     ) -> Result<ShardedIndex, StorageError> {
-        shard_chunks_stored(config, Self::chunks_from_database(key, database, rng))
+        shard_chunks(config, Self::chunks_from_database(key, database, rng))
     }
 
     /// [`build_index_stored`](Self::build_index_stored) over pre-derived
@@ -841,7 +559,7 @@ impl SseScheme {
         config: &StorageConfig,
         rng: &mut R,
     ) -> Result<ShardedIndex, StorageError> {
-        shard_chunks_stored(config, Self::chunks_from_token_lists(lists, rng))
+        shard_chunks(config, Self::chunks_from_token_lists(lists, rng))
     }
 
     /// Fixed-stride [`build_index_stored`](Self::build_index_stored): every
@@ -853,7 +571,7 @@ impl SseScheme {
         config: &StorageConfig,
         rng: &mut R,
     ) -> Result<ShardedIndex, StorageError> {
-        shard_chunks_stored(config, Self::chunks_from_fixed(key, lists, rng))
+        shard_chunks(config, Self::chunks_from_fixed(key, lists, rng))
     }
 }
 
@@ -863,6 +581,7 @@ mod tests {
     use crate::fault::FaultInjectable;
     use crate::pibas::LABEL_LEN;
     use crate::storage::test_support::TempDir;
+    use crate::storage::{shard_file_name, shard_matches_file};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
@@ -887,7 +606,7 @@ mod tests {
     fn batch_payloads<I: IndexLookup>(
         index: &I,
         tokens: &[SearchToken],
-    ) -> Result<Vec<Vec<Vec<u8>>>, I::Error> {
+    ) -> Result<Vec<Vec<Vec<u8>>>, StorageError> {
         let ciphers: Vec<_> = tokens.iter().map(SearchToken::payload_cipher).collect();
         let mut results = vec![Vec::new(); tokens.len()];
         SseScheme::search_batch_scan(index, tokens, |t, ciphertext| {
@@ -939,12 +658,7 @@ mod tests {
         // Every shard's entries carry that shard's label prefix, and every
         // keyword remains fully searchable across the shard split.
         for shard in index.shards() {
-            for label in shard
-                .as_memory()
-                .expect("in-memory build")
-                .table_raw()
-                .keys()
-            {
+            for label in shard.labels() {
                 assert_eq!(
                     &index.shards()[index.shard_of(label)] as *const _,
                     shard as *const _
@@ -1020,6 +734,14 @@ mod tests {
              ({resident} of {} region bytes resident)",
             index.storage_bytes() - directory_bytes
         );
+        // Without a budget the region still pages through the index's one
+        // block cache: the single probed entry touched one block, which
+        // stays resident, and nothing is ever evicted.
+        let stats = index.cache_stats();
+        assert_eq!(stats.evictions, 0, "no budget, no evictions");
+        assert_eq!(stats.misses, 1, "one probed entry touches one block");
+        assert_eq!(stats.hits, 0);
+        assert_eq!(stats.resident_bytes, resident);
     }
 
     /// A database whose ciphertext region spans many paged-read blocks.
@@ -1140,7 +862,7 @@ mod tests {
         index.inject_read_faults(3);
         match SseScheme::search(&index, &token) {
             Err(StorageError::Io { path, .. }) => {
-                assert_eq!(path, Path::new(FaultShard::FAULT_PATH));
+                assert_eq!(path, Path::new(crate::fault::FAULT_PATH));
             }
             other => panic!("expected Err(Io), got {other:?}"),
         }
@@ -1173,10 +895,11 @@ mod tests {
             let sharded = build_mem(&key, &db, 0, &mut rng_sharded);
 
             prop_assert_eq!(sharded.shard_count(), 1);
-            let shard = sharded.shards()[0].as_memory().expect("in-memory build");
-            prop_assert_eq!(shard.table_raw().len(), reference.dictionary.len());
+            let shard = &sharded.shards()[0];
+            prop_assert!(!shard.is_file_backed());
+            prop_assert_eq!(shard.len(), reference.dictionary.len());
             for (label, ciphertext) in &reference.dictionary {
-                prop_assert_eq!(shard.get(label), Some(ciphertext.as_slice()),
+                prop_assert_eq!(shard.try_get(label).unwrap().as_deref(), Some(ciphertext.as_slice()),
                     "k=0 shard must hold the reference dictionary's bytes");
             }
             let mut tiled = 0usize;
@@ -1184,7 +907,12 @@ mod tests {
                 prop_assert_eq!(offset as usize, tiled, "arena spans must tile the region");
                 tiled += len as usize;
             }
-            prop_assert_eq!(tiled, shard.arena_bytes_raw().len());
+            prop_assert_eq!(tiled, shard.region_len());
+            // The region bytes and directory, in region order, are exactly
+            // the saved shard file's.
+            let dir = TempDir::new("prop-k0");
+            sharded.save_to_dir(dir.path()).unwrap();
+            prop_assert!(shard_matches_file(shard, &dir.path().join(shard_file_name(0))));
         }
 
         /// Sharding is layout-only: for arbitrary multimaps and any k, the
@@ -1209,7 +937,7 @@ mod tests {
             prop_assert_eq!(sharded.storage_bytes(), flat.storage_bytes());
             // Entry-level equality: every label resolves to the same bytes.
             for shard in flat.shards() {
-                for label in shard.as_memory().expect("in-memory build").table_raw().keys() {
+                for label in shard.labels() {
                     prop_assert_eq!(
                         sharded.try_get(label).unwrap().map(|s| s.to_vec()),
                         flat.try_get(label).unwrap().map(|s| s.to_vec())
@@ -1302,7 +1030,7 @@ mod tests {
             prop_assert_eq!(file.len(), memory.len());
             prop_assert_eq!(file.storage_bytes(), memory.storage_bytes());
             for shard in memory.shards() {
-                for label in shard.as_memory().expect("in-memory build").table_raw().keys() {
+                for label in shard.labels() {
                     prop_assert_eq!(
                         file.try_get(label).unwrap().map(|s| s.to_vec()),
                         memory.try_get(label).unwrap().map(|s| s.to_vec())
@@ -1389,7 +1117,7 @@ mod tests {
     fn in_memory_merge_keeps_every_part_searchable() {
         let parts = merge_parts(2, &[1, 2, 3]);
         let inputs: Vec<&ShardedIndex> = parts.iter().map(|(_, index)| index).collect();
-        let merged = ShardedIndex::merge_in_memory(&inputs).unwrap();
+        let merged = ShardedIndex::merge(&inputs, &StorageConfig::in_memory(2)).unwrap();
         assert_eq!(merged.shard_bits(), 2);
         assert_eq!(
             merged.len(),
@@ -1420,24 +1148,36 @@ mod tests {
             index.save_to_dir(dir.path()).unwrap();
         }
         let out = TempDir::new("merge-out");
-        let input_paths: Vec<&Path> = dirs.iter().map(|d| d.path()).collect();
-        let merged_paged = ShardedIndex::merge_dirs(&input_paths, out.path(), None).unwrap();
+        let opened: Vec<ShardedIndex> = dirs
+            .iter()
+            .map(|dir| ShardedIndex::open_dir(dir.path()).unwrap())
+            .collect();
+        let paged_inputs: Vec<&ShardedIndex> = opened.iter().collect();
+        let merged_paged =
+            ShardedIndex::merge(&paged_inputs, &StorageConfig::on_disk(2, out.path())).unwrap();
         assert!(merged_paged.is_file_backed());
-        assert_eq!(ShardedIndex::dir_shard_bits(out.path()).unwrap(), 2);
+        assert_eq!(ShardedIndex::open_dir(out.path()).unwrap().shard_bits(), 2);
 
         let inputs: Vec<&ShardedIndex> = parts.iter().map(|(_, index)| index).collect();
-        let merged_memory = ShardedIndex::merge_in_memory(&inputs).unwrap();
+        let merged_memory = ShardedIndex::merge(&inputs, &StorageConfig::in_memory(2)).unwrap();
         assert_eq!(merged_paged.len(), merged_memory.len());
 
         // A resident reopen of the merged directory is byte-identical to
-        // the in-memory merge: same arena bytes, same offset tables.
+        // the in-memory merge: same region bytes, same offset tables — and
+        // both hold, in region order, exactly the merged shard files.
         let resident = ShardedIndex::open_dir_resident(out.path()).unwrap();
         assert!(!resident.is_file_backed());
-        for (a, b) in resident.shards().iter().zip(merged_memory.shards()) {
-            let a = a.as_memory().unwrap();
-            let b = b.as_memory().unwrap();
-            assert_eq!(a.arena_bytes_raw(), b.arena_bytes_raw());
-            assert_eq!(a.table_raw(), b.table_raw());
+        for (s, (a, b)) in resident
+            .shards()
+            .iter()
+            .zip(merged_memory.shards())
+            .enumerate()
+        {
+            assert_eq!(a.region_bytes().unwrap(), b.region_bytes().unwrap());
+            assert_eq!(a.table, b.table);
+            let file = out.path().join(shard_file_name(s));
+            assert!(shard_matches_file(a, &file));
+            assert!(shard_matches_file(b, &file));
         }
 
         // And every probe through the paged merge answers like the
@@ -1459,17 +1199,18 @@ mod tests {
     fn merge_rejects_layout_mismatch_collisions_and_empty_input() {
         let a = merge_parts(2, &[9]).remove(0).1;
         let b = merge_parts(3, &[10]).remove(0).1;
+        let in_memory = StorageConfig::in_memory(2);
         assert!(matches!(
-            ShardedIndex::merge_in_memory(&[&a, &b]),
+            ShardedIndex::merge(&[&a, &b], &in_memory),
             Err(StorageError::Unsupported(_))
         ));
         // Merging an index with itself duplicates every label.
         assert!(matches!(
-            ShardedIndex::merge_in_memory(&[&a, &a]),
+            ShardedIndex::merge(&[&a, &a], &in_memory),
             Err(StorageError::Unsupported(_))
         ));
         assert!(matches!(
-            ShardedIndex::merge_in_memory(&[]),
+            ShardedIndex::merge(&[], &in_memory),
             Err(StorageError::Unsupported(_))
         ));
 
@@ -1477,9 +1218,14 @@ mod tests {
         let dir_b = TempDir::new("merge-err-b");
         a.save_to_dir(dir_a.path()).unwrap();
         b.save_to_dir(dir_b.path()).unwrap();
+        let paged_a = ShardedIndex::open_dir(dir_a.path()).unwrap();
+        let paged_b = ShardedIndex::open_dir(dir_b.path()).unwrap();
         let out = TempDir::new("merge-err-out");
         assert!(matches!(
-            ShardedIndex::merge_dirs(&[dir_a.path(), dir_b.path()], out.path(), None),
+            ShardedIndex::merge(
+                &[&paged_a, &paged_b],
+                &StorageConfig::on_disk(2, out.path())
+            ),
             Err(StorageError::Unsupported(_))
         ));
         // The failed merge swept its partial output.
@@ -1490,7 +1236,10 @@ mod tests {
 
         let out_dup = TempDir::new("merge-err-dup");
         assert!(matches!(
-            ShardedIndex::merge_dirs(&[dir_a.path(), dir_a.path()], out_dup.path(), None),
+            ShardedIndex::merge(
+                &[&paged_a, &paged_a],
+                &StorageConfig::on_disk(2, out_dup.path())
+            ),
             Err(StorageError::Unsupported(_))
         ));
     }

@@ -1,28 +1,26 @@
-//! Pluggable storage backends for the encrypted dictionary.
+//! Shard storage for the encrypted dictionary.
 //!
-//! PR 2's [`ShardedIndex`](crate::ShardedIndex) split the dictionary into
-//! independent label-prefix shards but kept every shard's ciphertext arena
-//! pinned in RAM, and an index died with the process. This module decouples
-//! the *representation* of a shard from the query algorithms (which are
-//! generic over [`IndexLookup`](crate::IndexLookup) and never see the
-//! difference):
+//! A [`ShardedIndex`](crate::ShardedIndex) is `2^k` label-prefix shards,
+//! and every shard is one [`Shard`]: a label table
+//! (`label → (offset, len)`) over a ciphertext region. The query
+//! algorithms are generic over [`IndexLookup`](crate::IndexLookup) and
+//! never see where a region lives:
 //!
-//! * [`ShardStorage`] — the per-shard read interface every backend
-//!   implements: a bucket directory (`label → (offset, len)`), a ciphertext
-//!   region resolving those spans, and `get`/`get_many` probes.
-//! * [`EncryptedIndex`] — the existing in-memory
-//!   arena backend, unchanged byte-for-byte (property-tested).
-//! * [`FileShard`] — the on-disk backend: a compact serialized shard file
-//!   (magic/version header, label directory, ciphertext region) whose
-//!   directory is loaded at open time while ciphertexts stay on disk and
-//!   are served through **mmap-style paged reads**: the region is cut into
-//!   ~64 KiB blocks along entry boundaries, and a probe faults in only the
-//!   block holding its span (each block is read at most once and then
-//!   shared by all probes and clones). A 10M-record index therefore no
-//!   longer needs all shards — or even all of any shard — resident.
-//! * [`StorageConfig`] / [`StorageBackend`] — the knob threaded through
-//!   `BuildIndex` (and, in `rsse-core`, through `RangeScheme::build_stored`
-//!   and the update manager) selecting where an index's shards live.
+//! * **in memory** — a probe is one table lookup plus a slice;
+//! * **in the shard file** — the compact serialized shard (magic/version
+//!   header, label directory, ciphertext region) whose directory is loaded
+//!   at open time while the region stays on disk and is served through
+//!   **paged reads**: the region is cut into ~64 KiB blocks along entry
+//!   boundaries, and a probe reads only the block holding its span,
+//!   through the index's one block cache (unbounded unless
+//!   [`StorageConfig::cache_budget`] is set). A 10M-record index therefore
+//!   never needs all shards — or even all of any shard — resident.
+//!
+//! Both homes hold exactly the directory and region bytes the shard file
+//! serializes, so every producer shares one assembly, one merge and one
+//! serialization. [`StorageConfig`] / [`StorageBackend`] is the knob
+//! threaded through `BuildIndex` (and, in `rsse-core`, through
+//! `RangeScheme::build_stored` and the update manager) selecting the home.
 //!
 //! # Shard file format (version 1)
 //!
@@ -45,21 +43,22 @@
 //! `index.meta` manifest (same magic/version discipline) recording the
 //! shard-bit count.
 //!
-//! [`FileShard::open`] **rejects** malformed files with typed
+//! Opening a shard **rejects** malformed files with typed
 //! [`StorageError`]s — truncated files, foreign magic, unsupported
 //! versions, and directories whose spans fall outside (or fail to tile)
 //! the ciphertext region — instead of panicking at query time.
 
-use crate::pibas::{CipherSpan, EncryptedIndex, KeywordChunk, Label, LabelTable, LABEL_LEN};
+use crate::pibas::{CipherSpan, Label, LabelHasher, LabelTable, LABEL_LEN};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File};
 use std::hash::BuildHasherDefault;
 use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Positioned read into `buf` at `offset`, without touching any shared
 /// cursor — this is what keeps concurrent paged reads lock-free. Thin
@@ -106,7 +105,7 @@ pub const FORMAT_VERSION: u32 = 1;
 const SHARD_HEADER_LEN: u64 = 32;
 
 /// Bytes per directory entry: 16-byte label + u32 offset + u32 len.
-const DIR_ENTRY_LEN: u64 = 24;
+pub(crate) const DIR_ENTRY_LEN: u64 = 24;
 
 /// Manifest file length in bytes.
 const MANIFEST_LEN: u64 = 24;
@@ -223,12 +222,6 @@ impl std::error::Error for StorageError {
             StorageError::Io { error, .. } => Some(error),
             _ => None,
         }
-    }
-}
-
-impl From<std::convert::Infallible> for StorageError {
-    fn from(infallible: std::convert::Infallible) -> Self {
-        match infallible {}
     }
 }
 
@@ -478,52 +471,10 @@ impl Default for StorageConfig {
 }
 
 // ---------------------------------------------------------------------------
-// The ShardStorage trait
+// The block cache
 // ---------------------------------------------------------------------------
 
-/// Read interface of one dictionary shard, whatever holds its bytes.
-///
-/// A shard is a **bucket directory** (`label → (offset, len)`) over a
-/// **ciphertext region**; the trait exposes the only operation the search
-/// algorithms need — a fallible point probe — so the sharded index can mix
-/// backends without the query layer noticing. `Ok(None)` means the label
-/// is genuinely absent; `Err` means the backing storage failed to resolve
-/// the probe (in-memory arenas never take that branch).
-pub trait ShardStorage {
-    /// Looks up the ciphertext stored under `label`.
-    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError>;
-
-    /// Number of entries in the bucket directory.
-    fn len(&self) -> usize;
-
-    /// Whether the shard holds no entries.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Server-side storage footprint in bytes (labels + ciphertext region).
-    fn storage_bytes(&self) -> usize;
-}
-
-impl ShardStorage for EncryptedIndex {
-    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
-        Ok(EncryptedIndex::get(self, label).map(CipherSpan::borrowed))
-    }
-
-    fn len(&self) -> usize {
-        EncryptedIndex::len(self)
-    }
-
-    fn storage_bytes(&self) -> usize {
-        EncryptedIndex::storage_bytes(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The budgeted block cache
-// ---------------------------------------------------------------------------
-
-/// Aggregated block-cache observability counters of one index.
+/// Block-cache observability counters of one index.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Probes served from an already-loaded block.
@@ -581,33 +532,39 @@ impl CacheSegment {
     }
 }
 
-/// A sharded clock block cache bounding the resident ciphertext bytes of
-/// one file-backed index.
+/// A sharded clock block cache holding the region blocks of one index's
+/// file-backed shards.
 ///
 /// All shards of an index share one cache; keys are
-/// `(shard index, block index)`. Lookups set the block's clock bit;
-/// inserts evict unreferenced blocks — walking the segments round-robin,
-/// one lock at a time — until the **whole cache** is back inside the
-/// budget. Blocks are handed out as `Arc<[u8]>`, so a probe that is still
-/// decrypting a span keeps the bytes alive even if the block is evicted
-/// concurrently — eviction only drops the cache's reference.
+/// `(shard index, block index)`. Without a budget nothing is ever evicted:
+/// a block stays resident once touched. With one, lookups set the block's
+/// clock bit and inserts evict unreferenced blocks — walking the segments
+/// round-robin, one lock at a time — until the **whole cache** is back
+/// inside the budget. Blocks are handed out as `Arc<[u8]>`, so a probe
+/// that is still decrypting a span keeps the bytes alive even if the block
+/// is evicted concurrently — eviction only drops the cache's reference.
 pub(crate) struct BlockCache {
-    /// Total byte budget across all segments.
+    /// Total byte budget across all segments (`usize::MAX` = no bound).
     budget: usize,
     segments: Vec<Mutex<CacheSegment>>,
     /// Round-robin segment rotor the evictor walks.
     evict_from: AtomicUsize,
+    hits: AtomicU64,
+    misses: AtomicU64,
     evictions: AtomicU64,
     resident: AtomicUsize,
 }
 
 impl BlockCache {
-    /// A cache enforcing `budget` bytes across all segments.
-    pub(crate) fn new(budget: usize) -> Self {
+    /// A cache enforcing `budget` bytes across all segments (`None` = no
+    /// bound).
+    pub(crate) fn new(budget: Option<usize>) -> Self {
         Self {
-            budget,
+            budget: budget.unwrap_or(usize::MAX),
             segments: (0..CACHE_SEGMENTS).map(|_| Mutex::default()).collect(),
             evict_from: AtomicUsize::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             resident: AtomicUsize::new(0),
         }
@@ -616,6 +573,23 @@ impl BlockCache {
     fn segment(&self, key: (u32, u32)) -> &Mutex<CacheSegment> {
         let mix = (key.0 as usize).wrapping_mul(0x9E37_79B9) ^ (key.1 as usize);
         &self.segments[mix % CACHE_SEGMENTS]
+    }
+
+    /// The block under `key`: a hit if cached, otherwise a miss that
+    /// `read`s the block and caches it.
+    fn fetch(
+        &self,
+        key: (u32, u32),
+        read: impl FnOnce() -> Result<Box<[u8]>, StorageError>,
+    ) -> Result<Arc<[u8]>, StorageError> {
+        if let Some(data) = self.get(key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(data);
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let data: Arc<[u8]> = Arc::from(read()?);
+        self.insert(key, Arc::clone(&data));
+        Ok(data)
     }
 
     /// Looks up a block, marking it recently used.
@@ -633,7 +607,11 @@ impl BlockCache {
     /// inserts.
     fn evict_to_fit(&self, incoming: usize) {
         let mut attempts = 0usize;
-        while self.resident.load(Ordering::Relaxed) + incoming > self.budget
+        while self
+            .resident
+            .load(Ordering::Relaxed)
+            .saturating_add(incoming)
+            > self.budget
             && attempts < 4 * CACHE_SEGMENTS
         {
             let at = self.evict_from.fetch_add(1, Ordering::Relaxed) % CACHE_SEGMENTS;
@@ -686,28 +664,28 @@ impl BlockCache {
         self.evict_to_fit(0);
     }
 
-    /// Total block bytes currently cached.
-    pub(crate) fn resident_bytes(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
+    /// The cache's counters and resident bytes.
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+            resident_bytes: self.resident.load(Ordering::Relaxed),
+        }
     }
 
-    /// Blocks evicted since the cache was created.
-    pub(crate) fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Cached bytes attributable to one shard (observability only — walks
-    /// every segment under its lock).
-    fn shard_resident_bytes(&self, shard: u32) -> usize {
+    /// Bytes of the blocks actually held, summed slot by slot (the
+    /// consistency check of the `resident` counter).
+    #[cfg(test)]
+    fn held_bytes(&self) -> usize {
         self.segments
             .iter()
             .map(|segment| {
                 let segment = segment.lock().expect("cache lock poisoned");
                 segment
                     .slots
-                    .iter()
-                    .filter(|((s, _), _)| *s == shard)
-                    .map(|(_, slot)| slot.data.len())
+                    .values()
+                    .map(|slot| slot.data.len())
                     .sum::<usize>()
             })
             .sum()
@@ -715,91 +693,136 @@ impl BlockCache {
 }
 
 // ---------------------------------------------------------------------------
-// The file-backed shard
+// The shard
 // ---------------------------------------------------------------------------
 
-/// One paged-read block of the ciphertext region in the **resident**
-/// (unbudgeted) store: loaded at most once, then kept for the life of the
-/// shard handle.
-struct ResidentBlock {
-    /// Offset of the block within the region.
-    start: u32,
-    /// Block length in bytes (whole entries only).
-    len: u32,
-    /// Lazily loaded block bytes. A failed read stores nothing, so the
-    /// next probe retries — a transient I/O blip never poisons the block
-    /// permanently (the probe itself surfaces the failure as a typed
-    /// error).
-    data: OnceLock<Box<[u8]>>,
+/// One dictionary shard: a label table over a ciphertext region.
+///
+/// The table maps every label to its `(offset, len)` span of the region,
+/// and the spans tile the region in the order the shard was assembled.
+/// Only where the region bytes live differs:
+///
+/// * **in memory** — a probe is one table lookup plus a slice, with no
+///   block search and no lock;
+/// * **in the shard file** — the region stays on disk and a probe reads
+///   the ~64 KiB block holding its span (blocks are cut along entry
+///   boundaries) through the owning index's block cache.
+///
+/// Either way the shard holds exactly the directory and region bytes its
+/// serialized file does, so every producer — in-RAM and external
+/// BuildIndex, structural merge, `save_to_dir`, the resident reopen —
+/// goes through one per-shard assembly (`ShardHome::assemble`), one
+/// merge (`merge_shards`) and one serialization (`write_shard_file`).
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rsse_sse::{SseDatabase, SseScheme, StorageConfig};
+///
+/// let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
+/// let key = SseScheme::setup(&mut rng);
+/// let mut db = SseDatabase::new();
+/// db.add(b"keyword".to_vec(), b"payload".to_vec());
+///
+/// // With `shard_bits = 0` the in-memory build is one shard.
+/// let index = SseScheme::build_index_stored(&key, &db, &StorageConfig::in_memory(0), &mut rng)
+///     .unwrap();
+/// let shard = &index.shards()[0];
+/// assert_eq!(shard.len(), 1);
+/// assert!(!shard.is_file_backed());
+/// let token = SseScheme::trapdoor(&key, b"keyword");
+/// assert_eq!(
+///     SseScheme::search(&index, &token).unwrap(),
+///     vec![b"payload".to_vec()]
+/// );
+/// ```
+#[derive(Clone, Default)]
+pub struct Shard {
+    /// Label → `(region offset, len)`.
+    pub(crate) table: LabelTable,
+    region: Region,
 }
 
-/// Where a shard's region blocks live once faulted in.
-enum BlockStore {
-    /// No cache budget: every touched block stays resident behind a
-    /// `OnceLock` — loaded once, lock-free afterwards (the pre-budget
-    /// behavior, and the default).
-    Resident(Vec<ResidentBlock>),
-    /// Budgeted: blocks live in the index-wide clock [`BlockCache`] and
-    /// can be evicted; probes pin the block they need via `Arc`.
-    Cached {
-        cache: Arc<BlockCache>,
-        /// This shard's index within the cache key space.
-        shard: u32,
-        /// `(start, len)` of each block, ascending by start.
-        blocks: Vec<(u32, u32)>,
-    },
+/// Where a shard's ciphertext region lives.
+#[derive(Clone)]
+enum Region {
+    /// The region bytes, held in memory.
+    Memory(Vec<u8>),
+    /// The region left in its shard file.
+    File(Arc<FileRegion>),
 }
 
-struct FileShardInner {
-    /// Path the shard was opened from (error reporting, re-serialization).
+impl Default for Region {
+    fn default() -> Self {
+        Region::Memory(Vec::new())
+    }
+}
+
+/// A shard's region inside its serialized file, paged in through the
+/// index's block cache.
+struct FileRegion {
+    /// The shard file (error reporting).
     path: PathBuf,
     /// The open shard file; all reads go through positioned `read_at`.
     file: File,
-    /// The in-memory bucket directory: label → (region offset, len).
-    table: LabelTable,
-    /// File offset where the ciphertext region starts.
-    region_offset: u64,
-    /// Ciphertext-region length (< 4 GiB, the per-shard arena bound).
-    region_len: u32,
-    /// Region blocks, resident or cache-backed.
-    store: BlockStore,
-    /// Probes served from an already-loaded block.
-    hits: AtomicU64,
-    /// Probes that had to read their block from disk.
-    misses: AtomicU64,
-    /// Number of block reads that failed since open. Failed reads now
-    /// surface as typed [`StorageError`]s from the probe itself; the
-    /// counter remains as the aggregate operator-side view of how often
-    /// the backing storage misbehaved.
+    /// File offset where the region starts.
+    offset: u64,
+    /// Region length (< 4 GiB, the per-shard bound).
+    len: u32,
+    /// `(start, len)` of each block, ascending by start.
+    blocks: Vec<(u32, u32)>,
+    /// The owning index's block cache.
+    cache: Arc<BlockCache>,
+    /// This shard's index within the cache key space.
+    key: u32,
+    /// Number of block reads that failed since open. A failed read
+    /// surfaces as a typed [`StorageError`] from the probe itself; this is
+    /// the aggregate operator-side view of how often the disk misbehaved.
     read_errors: AtomicU64,
 }
 
-/// A disk-resident dictionary shard: in-memory bucket directory, on-disk
-/// ciphertext region served via paged reads.
-///
-/// Cloning is cheap (the file handle, directory, and block cache are
-/// shared), and probes from any number of threads are lock-free after a
-/// block's one-time load — the [`OnceLock`] per block is the only
-/// synchronization.
-#[derive(Clone)]
-pub struct FileShard {
-    inner: Arc<FileShardInner>,
+impl FileRegion {
+    /// Reads `len` region bytes at region offset `start` straight off
+    /// disk. A failure is counted and never cached, so the next probe
+    /// retries.
+    fn read(&self, start: u32, len: u32) -> Result<Box<[u8]>, StorageError> {
+        let mut buf = vec![0u8; len as usize].into_boxed_slice();
+        read_exact_at(&self.file, &mut buf, self.offset + u64::from(start)).map_err(|error| {
+            self.read_errors.fetch_add(1, Ordering::Relaxed);
+            io_err(&self.path, error)
+        })?;
+        Ok(buf)
+    }
+
+    /// The span `(offset, len)`, pinned inside its cached block.
+    fn span(&self, offset: u32, len: u32) -> Result<CipherSpan<'static>, StorageError> {
+        if len == 0 {
+            return Ok(CipherSpan::borrowed(&[]));
+        }
+        let index = self.blocks.partition_point(|&(start, _)| start <= offset) - 1;
+        let (start, block_len) = self.blocks[index];
+        let block = self
+            .cache
+            .fetch((self.key, index as u32), || self.read(start, block_len))?;
+        Ok(CipherSpan::pinned(
+            block,
+            (offset - start) as usize,
+            len as usize,
+        ))
+    }
 }
 
-impl fmt::Debug for FileShard {
+impl fmt::Debug for Shard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (blocks, budgeted) = match &self.inner.store {
-            BlockStore::Resident(blocks) => (blocks.len(), false),
-            BlockStore::Cached { blocks, .. } => (blocks.len(), true),
+        let mut out = f.debug_struct("Shard");
+        out.field("entries", &self.len())
+            .field("region_len", &self.region_len());
+        match &self.region {
+            Region::Memory(_) => out.field("region", &"memory"),
+            Region::File(file) => out.field("region", &file.path),
         };
-        f.debug_struct("FileShard")
-            .field("path", &self.inner.path)
-            .field("entries", &self.inner.table.len())
-            .field("region_len", &self.inner.region_len)
-            .field("blocks", &blocks)
-            .field("budgeted", &budgeted)
-            .field("resident_bytes", &self.resident_bytes())
-            .finish()
+        out.finish()
     }
 }
 
@@ -812,34 +835,55 @@ fn read_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
-impl FileShard {
-    /// Opens a serialized shard file: validates the header, loads the label
-    /// directory into memory, and prepares the paged-read block table. The
-    /// ciphertext region itself stays on disk, and touched blocks stay
-    /// resident for the life of the handle (no budget).
+/// One serialized directory entry: label, LE u32 region offset, LE u32
+/// length.
+pub(crate) fn dir_entry(label: &Label, offset: u32, len: u32) -> [u8; DIR_ENTRY_LEN as usize] {
+    let mut entry = [0u8; DIR_ENTRY_LEN as usize];
+    entry[..LABEL_LEN].copy_from_slice(label);
+    entry[LABEL_LEN..LABEL_LEN + 4].copy_from_slice(&offset.to_le_bytes());
+    entry[LABEL_LEN + 4..].copy_from_slice(&len.to_le_bytes());
+    entry
+}
+
+impl Shard {
+    /// An in-memory shard over `region`, whose `count` entries `directory`
+    /// lists in region order as `(label, len)` — offsets are the running
+    /// sum of the lengths.
+    pub(crate) fn in_memory(
+        count: usize,
+        directory: impl Iterator<Item = (Label, u32)>,
+        region: Vec<u8>,
+    ) -> Self {
+        assert!(
+            region.len() <= u32::MAX as usize,
+            "arena limited to 4 GiB per shard; shard the dataset first"
+        );
+        let mut table = LabelTable::with_capacity_and_hasher(count, BuildHasherDefault::default());
+        let mut offset = 0u32;
+        for (label, len) in directory {
+            table.insert(label, (offset, len));
+            offset += len;
+        }
+        debug_assert_eq!(offset as usize, region.len(), "spans must tile the region");
+        Self {
+            table,
+            region: Region::Memory(region),
+        }
+    }
+
+    /// Opens a serialized shard file: validates the header and loads the
+    /// label directory. With `cache = Some((cache, key))` the region stays
+    /// in the file and is paged in through `cache` under shard key `key`;
+    /// with `None` it is read into memory (the resident reopen).
     ///
     /// # Errors
     ///
     /// Returns a typed [`StorageError`] for every malformed input —
     /// truncated files, wrong magic, unsupported versions, and directories
     /// whose spans do not exactly tile the ciphertext region.
-    pub fn open(path: &Path) -> Result<Self, StorageError> {
-        Self::open_inner(path, None)
-    }
-
-    /// Opens a shard whose region blocks are served through the index-wide
-    /// budgeted [`BlockCache`] under shard key `shard`.
-    pub(crate) fn open_cached(
+    pub(crate) fn open(
         path: &Path,
-        shard: u32,
-        cache: Arc<BlockCache>,
-    ) -> Result<Self, StorageError> {
-        Self::open_inner(path, Some((shard, cache)))
-    }
-
-    fn open_inner(
-        path: &Path,
-        cache: Option<(u32, Arc<BlockCache>)>,
+        cache: Option<(&Arc<BlockCache>, u32)>,
     ) -> Result<Self, StorageError> {
         let file = File::open(path).map_err(|e| io_err(path, e))?;
         let file_len = file.metadata().map_err(|e| io_err(path, e))?.len();
@@ -947,194 +991,91 @@ impl FileShard {
         if running > block_start {
             blocks.push((block_start as u32, (running - block_start) as u32));
         }
-        let store = match cache {
-            Some((shard, cache)) => BlockStore::Cached {
-                cache,
-                shard,
-                blocks,
-            },
-            None => BlockStore::Resident(
-                blocks
-                    .into_iter()
-                    .map(|(start, len)| ResidentBlock {
-                        start,
-                        len,
-                        data: OnceLock::new(),
-                    })
-                    .collect(),
-            ),
-        };
-        Ok(Self {
-            inner: Arc::new(FileShardInner {
+        let offset = SHARD_HEADER_LEN + (entry_count as u64) * DIR_ENTRY_LEN;
+        let region = match cache {
+            Some((cache, key)) => Region::File(Arc::new(FileRegion {
                 path: path.to_path_buf(),
                 file,
-                table,
-                region_offset: SHARD_HEADER_LEN + (entry_count as u64) * DIR_ENTRY_LEN,
-                region_len: region_len as u32,
-                store,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                read_errors: AtomicU64::new(0),
-            }),
-        })
-    }
-
-    /// The file this shard is served from.
-    pub fn path(&self) -> &Path {
-        &self.inner.path
-    }
-
-    /// Number of block reads that have failed since this shard was opened.
-    ///
-    /// Since the fallible-probe refactor a failed block read surfaces as a
-    /// typed [`StorageError`] from the probing search itself; this counter
-    /// remains as the aggregate operator-side signal of how often the
-    /// backing storage misbehaved. Failed blocks are never cached, so the
-    /// next probe retries.
-    pub fn read_errors(&self) -> u64 {
-        self.inner.read_errors.load(Ordering::Relaxed)
-    }
-
-    /// Hit/miss/eviction counters and residency of this shard's region
-    /// blocks. In cached mode, evictions are reported index-wide (0 here)
-    /// — aggregate through `ShardedIndex::cache_stats` instead.
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            evictions: 0,
-            resident_bytes: self.resident_bytes(),
-        }
-    }
-
-    /// Bytes of the ciphertext region currently faulted into memory (the
-    /// bucket directory itself is always resident). In cached mode this
-    /// walks the shared cache and counts only this shard's blocks.
-    pub fn resident_bytes(&self) -> usize {
-        match &self.inner.store {
-            BlockStore::Resident(blocks) => blocks
-                .iter()
-                .filter(|block| block.data.get().is_some())
-                .map(|block| block.len as usize)
-                .sum(),
-            BlockStore::Cached { cache, shard, .. } => cache.shard_resident_bytes(*shard),
-        }
-    }
-
-    /// The index-wide block cache this shard probes through, if budgeted.
-    pub(crate) fn block_cache(&self) -> Option<&Arc<BlockCache>> {
-        match &self.inner.store {
-            BlockStore::Resident(_) => None,
-            BlockStore::Cached { cache, .. } => Some(cache),
-        }
-    }
-
-    /// Reads one whole region block `(start, len)` from disk.
-    fn read_block(&self, start: u32, len: u32) -> Result<Box<[u8]>, StorageError> {
-        let inner = &*self.inner;
-        let mut buf = vec![0u8; len as usize].into_boxed_slice();
-        read_exact_at(
-            &inner.file,
-            &mut buf,
-            inner.region_offset + u64::from(start),
-        )
-        .map_err(|error| {
-            // Record the failure for the aggregate counter; the probe
-            // itself carries the typed error to the caller. The block
-            // stays uncached, so the next probe retries.
-            inner.read_errors.fetch_add(1, Ordering::Relaxed);
-            io_err(&inner.path, error)
-        })?;
-        Ok(buf)
-    }
-
-    /// Resolves the span at `(offset, len)` through the paged block store.
-    ///
-    /// `Ok(None)` never occurs here — the caller already resolved the
-    /// label to a span — so the result is the span or a typed read error.
-    fn span(&self, offset: u32, len: u32) -> Result<CipherSpan<'_>, StorageError> {
-        if len == 0 {
-            return Ok(CipherSpan::borrowed(&[]));
-        }
-        let inner = &*self.inner;
-        match &inner.store {
-            BlockStore::Resident(blocks) => {
-                let index = blocks.partition_point(|b| b.start <= offset) - 1;
-                let block = &blocks[index];
-                let data = match block.data.get() {
-                    Some(data) => {
-                        inner.hits.fetch_add(1, Ordering::Relaxed);
-                        data
-                    }
-                    None => {
-                        inner.misses.fetch_add(1, Ordering::Relaxed);
-                        let buf = self.read_block(block.start, block.len)?;
-                        // A concurrent probe may have won the race; either
-                        // way the lock now holds a fully read copy.
-                        let _ = block.data.set(buf);
-                        block.data.get().expect("block was just populated")
-                    }
-                };
-                let rel = (offset - block.start) as usize;
-                Ok(CipherSpan::borrowed(&data[rel..rel + len as usize]))
-            }
-            BlockStore::Cached {
-                cache,
-                shard,
+                offset,
+                len: region_len as u32,
                 blocks,
-            } => {
-                let index = blocks.partition_point(|&(start, _)| start <= offset) - 1;
-                let (start, block_len) = blocks[index];
-                let key = (*shard, index as u32);
-                let data = match cache.get(key) {
-                    Some(data) => {
-                        inner.hits.fetch_add(1, Ordering::Relaxed);
-                        data
-                    }
-                    None => {
-                        inner.misses.fetch_add(1, Ordering::Relaxed);
-                        let data: Arc<[u8]> = Arc::from(self.read_block(start, block_len)?);
-                        cache.insert(key, Arc::clone(&data));
-                        data
-                    }
-                };
-                let rel = (offset - start) as usize;
-                Ok(CipherSpan::pinned(data, rel, len as usize))
+                cache: Arc::clone(cache),
+                key,
+                read_errors: AtomicU64::new(0),
+            })),
+            None => {
+                let mut bytes = vec![0u8; region_len as usize];
+                read_exact_at(&file, &mut bytes, offset).map_err(|e| io_err(path, e))?;
+                Region::Memory(bytes)
             }
+        };
+        Ok(Self { table, region })
+    }
+
+    /// Number of entries in the label table.
+    pub fn len(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Whether the shard holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
+    }
+
+    /// Server-side storage footprint in bytes (labels + ciphertext region),
+    /// wherever the region lives.
+    pub fn storage_bytes(&self) -> usize {
+        self.len() * LABEL_LEN + self.region_len()
+    }
+
+    /// Ciphertext-region length in bytes.
+    pub fn region_len(&self) -> usize {
+        match &self.region {
+            Region::Memory(bytes) => bytes.len(),
+            Region::File(file) => file.len as usize,
         }
     }
 
-    /// Returns the stored ciphertexts in region order, faulting blocks in
-    /// as needed (used by leakage-oriented tests and tooling; copies each
-    /// span out so cached blocks are not pinned past the call).
-    pub fn ciphertexts(&self) -> Result<Vec<Vec<u8>>, StorageError> {
-        let mut spans: Vec<(u32, u32)> = self.inner.table.values().copied().collect();
-        spans.sort_unstable_by_key(|&(offset, _)| offset);
-        spans
-            .into_iter()
-            .map(|(offset, len)| self.span(offset, len).map(|span| span.to_vec()))
-            .collect()
+    /// Whether the region stays in the shard file (paged reads) rather
+    /// than in memory.
+    pub fn is_file_backed(&self) -> bool {
+        matches!(self.region, Region::File(_))
     }
 
-    /// Serializes this shard back into `writer` (byte-identical to the file
-    /// it was opened from).
-    fn write_to<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        let entries = self.entries_by_offset();
-        write_shard_header(
-            writer,
-            entries.len() as u64,
-            u64::from(self.inner.region_len),
-        )?;
-        write_shard_directory(writer, entries.iter().map(|&(label, _, len)| (label, len)))?;
-        self.stream_region_to(writer)
+    /// The labels stored in this shard, in table order.
+    pub fn labels(&self) -> impl Iterator<Item = &Label> {
+        self.table.keys()
     }
 
-    /// The directory entries sorted by region offset — the deterministic
-    /// serialization order (and the physical arena order: spans tile the
-    /// region ascending).
+    /// Number of block reads that have failed since this shard was opened
+    /// (always 0 for an in-memory region).
+    pub fn read_errors(&self) -> u64 {
+        match &self.region {
+            Region::Memory(_) => 0,
+            Region::File(file) => file.read_errors.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Looks up the ciphertext stored under `label`.
+    ///
+    /// `Ok(None)` means the label is absent; `Err` means a block read of a
+    /// file-backed region failed (an in-memory region never fails).
+    pub fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
+        let Some(&(offset, len)) = self.table.get(label) else {
+            return Ok(None);
+        };
+        match &self.region {
+            Region::Memory(bytes) => Ok(Some(CipherSpan::borrowed(
+                &bytes[offset as usize..(offset + len) as usize],
+            ))),
+            Region::File(file) => file.span(offset, len).map(Some),
+        }
+    }
+
+    /// The `(label, offset, len)` directory sorted by region offset — the
+    /// serialization order (spans tile the region in exactly this order).
     pub(crate) fn entries_by_offset(&self) -> Vec<(Label, u32, u32)> {
         let mut entries: Vec<(Label, u32, u32)> = self
-            .inner
             .table
             .iter()
             .map(|(label, &(offset, len))| (*label, offset, len))
@@ -1143,27 +1084,34 @@ impl FileShard {
         entries
     }
 
-    /// Ciphertext-region length in bytes.
-    pub(crate) fn region_len(&self) -> u32 {
-        self.inner.region_len
+    /// The whole region, borrowed from memory or read from the file
+    /// (block cache bypassed).
+    pub(crate) fn region_bytes(&self) -> Result<Cow<'_, [u8]>, StorageError> {
+        match &self.region {
+            Region::Memory(bytes) => Ok(Cow::Borrowed(bytes)),
+            Region::File(file) => file.read(0, file.len).map(|bytes| Cow::Owned(bytes.into())),
+        }
     }
 
-    /// The labels stored in this shard, in table order.
-    pub(crate) fn labels(&self) -> impl Iterator<Item = &Label> {
-        self.inner.table.keys()
-    }
-
-    /// Streams the raw ciphertext region into `writer` in bounded chunks,
-    /// straight off disk (block cache bypassed). The bytes are copied
-    /// verbatim — nothing is decrypted.
-    fn stream_region_to<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        let inner = &*self.inner;
-        let mut remaining = u64::from(inner.region_len);
-        let mut at = inner.region_offset;
+    /// Streams the raw region into `writer` verbatim — from memory, or
+    /// straight off disk in bounded chunks (block cache bypassed). Nothing
+    /// is decrypted.
+    fn copy_region_to(&self, writer: &mut dyn Write) -> io::Result<()> {
+        let file = match &self.region {
+            Region::Memory(bytes) => return writer.write_all(bytes),
+            Region::File(file) => file,
+        };
+        let mut remaining = u64::from(file.len);
+        let mut at = file.offset;
         let mut buf = vec![0u8; BLOCK_TARGET];
         while remaining > 0 {
             let take = remaining.min(BLOCK_TARGET as u64) as usize;
-            read_exact_at(&inner.file, &mut buf[..take], at)?;
+            read_exact_at(&file.file, &mut buf[..take], at).map_err(|error| {
+                io::Error::new(
+                    error.kind(),
+                    format!("reading {}: {error}", file.path.display()),
+                )
+            })?;
             writer.write_all(&buf[..take])?;
             at += take as u64;
             remaining -= take as u64;
@@ -1171,41 +1119,121 @@ impl FileShard {
         Ok(())
     }
 
-    /// Loads this shard fully into an in-memory arena, **byte-identical**
-    /// to the arena the shard file serializes: same entry order (ascending
-    /// offset), same ciphertext bytes, same offset table.
-    pub(crate) fn to_memory(&self) -> Result<EncryptedIndex, StorageError> {
-        let inner = &*self.inner;
-        let mut region = vec![0u8; inner.region_len as usize];
-        read_exact_at(&inner.file, &mut region, inner.region_offset)
-            .map_err(|e| io_err(&inner.path, e))?;
-        let entries = self.entries_by_offset();
-        let mut index = EncryptedIndex::with_capacity(entries.len(), region.len());
-        for (label, offset, len) in entries {
-            index.append_entry(
-                label,
-                &region[offset as usize..(offset as usize + len as usize)],
-            );
-        }
-        Ok(index)
+    /// Returns the stored ciphertexts in region order (copied out; used by
+    /// leakage-oriented tests and tooling).
+    pub fn ciphertexts(&self) -> Result<Vec<Vec<u8>>, StorageError> {
+        let region = self.region_bytes()?;
+        Ok(self
+            .entries_by_offset()
+            .into_iter()
+            .map(|(_, offset, len)| region[offset as usize..(offset + len) as usize].to_vec())
+            .collect())
+    }
+
+    /// Serializes this shard into `path` (which may be the very file the
+    /// shard is served from — see [`write_file_atomic`]).
+    pub(crate) fn save(&self, path: &Path) -> Result<(), StorageError> {
+        write_shard_file(
+            path,
+            self.len(),
+            self.region_len(),
+            self.entries_by_offset()
+                .into_iter()
+                .map(|(label, _, len)| (label, len)),
+            |writer| self.copy_region_to(writer),
+        )
     }
 }
 
-impl ShardStorage for FileShard {
-    fn try_get(&self, label: &Label) -> Result<Option<CipherSpan<'_>>, StorageError> {
-        match self.inner.table.get(label) {
-            Some(&(offset, len)) => self.span(offset, len).map(Some),
-            None => Ok(None),
+/// Where a producer puts the shards it assembles.
+pub(crate) enum ShardHome<'a> {
+    /// Regions held in memory.
+    Memory,
+    /// Shard files written into `dir`, their regions paged in through
+    /// `cache`.
+    Disk {
+        dir: &'a Path,
+        cache: &'a Arc<BlockCache>,
+    },
+}
+
+impl ShardHome<'_> {
+    /// The one per-shard assembly: shard number `shard` holds `count`
+    /// entries, which `directory` lists in region order as `(label, len)`,
+    /// over a `region_len`-byte region that `region` writes. In memory the
+    /// region is collected into one buffer; on disk it is streamed into the
+    /// shard file, which is then opened paged.
+    pub(crate) fn assemble(
+        &self,
+        shard: usize,
+        count: usize,
+        region_len: usize,
+        directory: impl Iterator<Item = (Label, u32)>,
+        region: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+    ) -> Result<Shard, StorageError> {
+        match self {
+            ShardHome::Memory => {
+                let mut bytes = Vec::with_capacity(region_len);
+                region(&mut bytes).map_err(|e| io_err(Path::new("<in-memory shard>"), e))?;
+                Ok(Shard::in_memory(count, directory, bytes))
+            }
+            ShardHome::Disk { dir, cache } => {
+                let path = dir.join(shard_file_name(shard));
+                write_shard_file(&path, count, region_len, directory, region)?;
+                Shard::open(&path, Some((cache, shard as u32)))
+            }
         }
     }
+}
 
-    fn len(&self) -> usize {
-        self.inner.table.len()
+/// The one structural merge: `parts`' regions are concatenated
+/// **verbatim** in input order and their directories re-emitted over the
+/// rebased offsets, as shard number `shard` in `home`. No ciphertext byte
+/// is decrypted or re-encrypted.
+///
+/// Returns [`StorageError::Unsupported`] — the caller's signal to fall
+/// back to a rebuild — if the merged region would exceed the 4 GiB
+/// per-shard bound, or if two parts store the same 16-byte label (only
+/// possible by PRF-output collision across independently keyed parts, so
+/// astronomically rare; a rebuild handles it correctly).
+pub(crate) fn merge_shards(
+    home: &ShardHome<'_>,
+    shard: usize,
+    parts: &[&Shard],
+) -> Result<Shard, StorageError> {
+    let count: usize = parts.iter().map(|part| part.len()).sum();
+    let region_len: u64 = parts.iter().map(|part| part.region_len() as u64).sum();
+    if region_len > u64::from(u32::MAX) {
+        return Err(StorageError::Unsupported(
+            "structural shard merge past the 4 GiB region bound",
+        ));
     }
-
-    fn storage_bytes(&self) -> usize {
-        self.inner.table.len() * LABEL_LEN + self.inner.region_len as usize
+    let mut seen: HashSet<Label, BuildHasherDefault<LabelHasher>> =
+        HashSet::with_capacity_and_hasher(count, BuildHasherDefault::default());
+    if !parts
+        .iter()
+        .flat_map(|part| part.labels())
+        .all(|label| seen.insert(*label))
+    {
+        return Err(StorageError::Unsupported(
+            "structural shard merge with a cross-part label collision",
+        ));
     }
+    home.assemble(
+        shard,
+        count,
+        region_len as usize,
+        parts.iter().flat_map(|part| {
+            part.entries_by_offset()
+                .into_iter()
+                .map(|(label, _, len)| (label, len))
+        }),
+        |writer| {
+            parts
+                .iter()
+                .try_for_each(|part| part.copy_region_to(writer))
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1225,20 +1253,30 @@ pub(crate) fn write_shard_header<W: Write>(
     writer.write_all(&region_len.to_le_bytes())
 }
 
-/// Writes the label directory; offsets are the running sum of the lengths,
-/// which is exactly the arena layout (spans tile the region).
-fn write_shard_directory<W: Write>(
-    writer: &mut W,
-    entries: impl Iterator<Item = (Label, u32)>,
-) -> io::Result<()> {
-    let mut running = 0u32;
-    for (label, len) in entries {
-        writer.write_all(&label)?;
-        writer.write_all(&running.to_le_bytes())?;
-        writer.write_all(&len.to_le_bytes())?;
-        running += len;
-    }
-    Ok(())
+/// The one shard serialization, atomic (tmp + rename): the header, the
+/// label directory of the `count` entries `directory` lists in region
+/// order — offsets are the running sum of the lengths, so the spans tile
+/// the region — then the `region_len` region bytes `region` writes.
+pub(crate) fn write_shard_file(
+    path: &Path,
+    count: usize,
+    region_len: usize,
+    directory: impl Iterator<Item = (Label, u32)>,
+    region: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) -> Result<(), StorageError> {
+    assert!(
+        region_len <= u32::MAX as usize,
+        "arena limited to 4 GiB per shard; shard the dataset first"
+    );
+    write_file_atomic(path, |writer| {
+        write_shard_header(writer, count as u64, region_len as u64)?;
+        let mut running = 0u32;
+        for (label, len) in directory {
+            writer.write_all(&dir_entry(&label, running, len))?;
+            running += len;
+        }
+        region(writer)
+    })
 }
 
 /// The scratch name `path` is written under before the atomic rename.
@@ -1251,7 +1289,7 @@ pub(crate) fn tmp_path(path: &Path) -> PathBuf {
 /// Writes `path` atomically: content goes to a `.tmp` sibling first and is
 /// renamed over the target only once fully flushed. This makes re-saving
 /// an index into the directory it is currently being served from safe —
-/// open `FileShard` handles keep reading the old inode while the new file
+/// open file-backed shards keep reading the old inode while the new file
 /// is written, so the serializer's own read-back never sees a truncated
 /// file — and a failed write can never destroy an existing good file.
 pub(crate) fn write_file_atomic(
@@ -1280,106 +1318,6 @@ pub(crate) fn write_file_atomic(
 #[doc(hidden)]
 pub fn write_file_atomic_bytes(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
     write_file_atomic(path, |writer| writer.write_all(bytes))
-}
-
-/// Serializes one in-memory shard into `path` (directory sorted by offset,
-/// region = raw arena bytes).
-fn write_memory_shard(path: &Path, shard: &EncryptedIndex) -> Result<(), StorageError> {
-    let entries = shard.entries_by_offset();
-    write_file_atomic(path, |writer| {
-        write_shard_header(writer, entries.len() as u64, shard.arena_raw().len() as u64)?;
-        write_shard_directory(writer, entries.iter().map(|&(label, _, len)| (label, len)))?;
-        writer.write_all(shard.arena_raw())
-    })
-}
-
-/// Serializes a file-backed shard into `path` (which may be the very file
-/// the shard is served from — see [`write_file_atomic`]).
-fn write_file_shard(path: &Path, shard: &FileShard) -> Result<(), StorageError> {
-    write_file_atomic(path, |writer| shard.write_to(writer))
-}
-
-/// Streams one shard's serialized file directly from the per-keyword build
-/// chunks — the on-disk BuildIndex path: no intermediate arena is ever
-/// materialized, and the bytes written are exactly what `save_to_dir` of
-/// the equivalent in-memory shard would produce (same entry order, offsets
-/// as the running length sum).
-pub(crate) fn write_chunk_shard(
-    path: &Path,
-    chunks: &[KeywordChunk],
-    members: &[(u32, u32)],
-    region_len: usize,
-) -> Result<(), StorageError> {
-    assert!(
-        region_len <= u32::MAX as usize,
-        "arena limited to 4 GiB per index; shard the dataset first"
-    );
-    write_file_atomic(path, |writer| {
-        write_shard_header(writer, members.len() as u64, region_len as u64)?;
-        write_shard_directory(
-            writer,
-            members.iter().map(|&(c, e)| {
-                let chunk = &chunks[c as usize];
-                (chunk.labels[e as usize], chunk.spans[e as usize].1)
-            }),
-        )?;
-        for &(c, e) in members {
-            let chunk = &chunks[c as usize];
-            let (offset, len) = chunk.spans[e as usize];
-            writer.write_all(&chunk.buf[offset as usize..(offset + len) as usize])?;
-        }
-        Ok(())
-    })
-}
-
-/// Structurally merges already-encrypted shard files into one shard file
-/// at `path`: the inputs' ciphertext regions are concatenated **verbatim**
-/// in input order, and the offset-sorted label directory is re-emitted
-/// with every offset rebased by the running region sum — the merged spans
-/// tile the merged region by construction. No ciphertext byte is
-/// decrypted or re-encrypted on this path; the inputs' bytes are streamed
-/// straight through.
-///
-/// Returns [`StorageError::Unsupported`] — the caller's signal to fall
-/// back to a rebuild — if the merged region would exceed the 4 GiB
-/// per-shard bound, or if two inputs store the same 16-byte label (only
-/// possible by PRF-output collision across independently keyed parts, so
-/// astronomically rare; a rebuild handles it correctly).
-pub(crate) fn merge_shard_files(inputs: &[FileShard], path: &Path) -> Result<(), StorageError> {
-    let total_entries: u64 = inputs.iter().map(|s| ShardStorage::len(s) as u64).sum();
-    let total_region: u64 = inputs.iter().map(|s| u64::from(s.region_len())).sum();
-    if total_region > u64::from(u32::MAX) {
-        return Err(StorageError::Unsupported(
-            "structural shard merge past the 4 GiB region bound",
-        ));
-    }
-    let mut seen =
-        LabelTable::with_capacity_and_hasher(total_entries as usize, BuildHasherDefault::default());
-    for shard in inputs {
-        for label in shard.labels() {
-            if seen.insert(*label, (0, 0)).is_some() {
-                return Err(StorageError::Unsupported(
-                    "structural shard merge with a cross-part label collision",
-                ));
-            }
-        }
-    }
-    write_file_atomic(path, |writer| {
-        write_shard_header(writer, total_entries, total_region)?;
-        write_shard_directory(
-            writer,
-            inputs.iter().flat_map(|shard| {
-                shard
-                    .entries_by_offset()
-                    .into_iter()
-                    .map(|(label, _, len)| (label, len))
-            }),
-        )?;
-        for shard in inputs {
-            shard.stream_region_to(writer)?;
-        }
-        Ok(())
-    })
 }
 
 /// Best-effort removal of the files a failed on-disk build wrote — the
@@ -1458,7 +1396,7 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<u32, StorageError> {
 pub(crate) fn save_shards_to_dir(
     dir: &Path,
     shard_bits: u32,
-    shards: &[crate::sharded::Shard],
+    shards: &[Shard],
 ) -> Result<(), StorageError> {
     recover_displaced_snapshot(dir);
     if dir.join(MANIFEST_FILE).exists() {
@@ -1488,24 +1426,11 @@ pub(crate) fn recover_displaced_snapshot(dir: &Path) {
 /// Writes every shard file (in parallel) and then the manifest into `dir`.
 /// The manifest is written LAST: it is the commit record of a save into a
 /// fresh directory.
-fn write_shard_files(
-    dir: &Path,
-    shard_bits: u32,
-    shards: &[crate::sharded::Shard],
-) -> Result<(), StorageError> {
-    let jobs: Vec<(usize, &crate::sharded::Shard)> = shards.iter().enumerate().collect();
+fn write_shard_files(dir: &Path, shard_bits: u32, shards: &[Shard]) -> Result<(), StorageError> {
+    let jobs: Vec<(usize, &Shard)> = shards.iter().enumerate().collect();
     let results: Vec<Result<(), StorageError>> = jobs
         .into_par_iter()
-        .map(|(i, shard)| {
-            let path = dir.join(shard_file_name(i));
-            match shard.unwrap_faults() {
-                crate::sharded::Shard::Memory(index) => write_memory_shard(&path, index),
-                crate::sharded::Shard::File(file) => write_file_shard(&path, file),
-                crate::sharded::Shard::Fault(_) => {
-                    unreachable!("unwrap_faults removes fault wrappers")
-                }
-            }
-        })
+        .map(|(i, shard)| shard.save(&dir.join(shard_file_name(i))))
         .collect();
     results.into_iter().collect::<Result<(), StorageError>>()?;
     write_manifest(dir, shard_bits)
@@ -1588,11 +1513,7 @@ fn is_index_file(name: &str) -> bool {
 /// untouched (stale staging directories are cleaned up at the next save);
 /// a crash after the commit rename leaves the complete new snapshot. At no
 /// point does `dir` hold a mix of old and new files.
-fn staged_resave(
-    dir: &Path,
-    shard_bits: u32,
-    shards: &[crate::sharded::Shard],
-) -> Result<(), StorageError> {
+fn staged_resave(dir: &Path, shard_bits: u32, shards: &[Shard]) -> Result<(), StorageError> {
     let staging = staging_path(dir);
     let displaced = displaced_path(dir);
     // Clean up leftovers of a previous crashed save — refusing, with a
@@ -1669,32 +1590,29 @@ fn remove_stale_shard_files(dir: &Path, shard_count: usize) {
 }
 
 /// Opens every shard file under `dir` (in parallel) after validating the
-/// manifest. With a cache budget, all shards share one index-wide
-/// [`BlockCache`] bounding their resident region blocks.
+/// manifest: with a `cache`, each region stays in its file and is paged
+/// in through that index-wide cache; without one, each region is read
+/// into memory.
 pub(crate) fn open_shards_from_dir(
     dir: &Path,
-    cache_budget: Option<usize>,
-) -> Result<(u32, Vec<FileShard>), StorageError> {
+    cache: Option<&Arc<BlockCache>>,
+) -> Result<(u32, Vec<Shard>), StorageError> {
     recover_displaced_snapshot(dir);
     let shard_bits = read_manifest(dir)?;
     let shard_count = 1usize << shard_bits;
-    let cache = cache_budget.map(|budget| Arc::new(BlockCache::new(budget)));
     let indices: Vec<usize> = (0..shard_count).collect();
-    let results: Vec<Result<FileShard, StorageError>> = indices
+    let results: Vec<Result<Shard, StorageError>> = indices
         .into_par_iter()
         .map(|i| {
             let path = dir.join(shard_file_name(i));
-            let shard = match &cache {
-                Some(cache) => FileShard::open_cached(&path, i as u32, Arc::clone(cache))?,
-                None => FileShard::open(&path)?,
-            };
+            let shard = Shard::open(&path, cache.map(|cache| (cache, i as u32)))?;
             // Label-prefix routing check: every label in shard i must carry
             // prefix i at the manifest's shard-bit width, or probes routed
             // by shard_of(label) would silently miss. This rejects swapped
             // or foreign shard files — individually valid, collectively
             // wrong — with a typed error instead of empty query results.
             if shard_bits > 0 {
-                for label in shard.inner.table.keys() {
+                for label in shard.labels() {
                     let prefix =
                         u64::from_be_bytes(label[..8].try_into().expect("labels are 16 bytes"))
                             >> (64 - shard_bits);
@@ -1715,7 +1633,7 @@ pub(crate) fn open_shards_from_dir(
         .collect();
     let shards = results
         .into_iter()
-        .collect::<Result<Vec<FileShard>, StorageError>>()?;
+        .collect::<Result<Vec<Shard>, StorageError>>()?;
     Ok((shard_bits, shards))
 }
 
@@ -2143,6 +2061,29 @@ pub mod test_support {
     }
 }
 
+/// Whether `shard`'s directory and region bytes, in region order, are
+/// exactly those of the shard file at `path` (parsed independently of
+/// [`Shard::open`]).
+#[cfg(test)]
+pub(crate) fn shard_matches_file(shard: &Shard, path: &Path) -> bool {
+    let bytes = fs::read(path).unwrap();
+    let count = read_u64(&bytes[16..]) as usize;
+    let directory_end = SHARD_HEADER_LEN as usize + count * DIR_ENTRY_LEN as usize;
+    let directory: Vec<(Label, u32, u32)> = bytes[SHARD_HEADER_LEN as usize..directory_end]
+        .chunks_exact(DIR_ENTRY_LEN as usize)
+        .map(|entry| {
+            let label: Label = entry[..LABEL_LEN].try_into().unwrap();
+            (
+                label,
+                read_u32(&entry[LABEL_LEN..]),
+                read_u32(&entry[LABEL_LEN + 4..]),
+            )
+        })
+        .collect();
+    shard.entries_by_offset() == directory
+        && *shard.region_bytes().unwrap() == bytes[directory_end..]
+}
+
 #[cfg(test)]
 mod tests {
     use super::test_support::TempDir;
@@ -2179,7 +2120,7 @@ mod tests {
     fn open_rejects_header_truncated_file() {
         let (_dir, shard0, bytes) = saved_index(0);
         fs::write(&shard0, &bytes[..16]).unwrap();
-        match FileShard::open(&shard0) {
+        match Shard::open(&shard0, None) {
             Err(StorageError::Truncated {
                 expected, actual, ..
             }) => {
@@ -2194,7 +2135,7 @@ mod tests {
     fn open_rejects_body_truncated_file() {
         let (_dir, shard0, bytes) = saved_index(0);
         fs::write(&shard0, &bytes[..bytes.len() - 7]).unwrap();
-        match FileShard::open(&shard0) {
+        match Shard::open(&shard0, None) {
             Err(StorageError::Truncated {
                 expected, actual, ..
             }) => {
@@ -2210,7 +2151,7 @@ mod tests {
         let (_dir, shard0, mut bytes) = saved_index(0);
         bytes[..8].copy_from_slice(b"NOTANIDX");
         fs::write(&shard0, &bytes).unwrap();
-        match FileShard::open(&shard0) {
+        match Shard::open(&shard0, None) {
             Err(StorageError::BadMagic { found, .. }) => assert_eq!(&found, b"NOTANIDX"),
             other => panic!("expected BadMagic, got {other:?}"),
         }
@@ -2221,7 +2162,7 @@ mod tests {
         let (_dir, shard0, mut bytes) = saved_index(0);
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         fs::write(&shard0, &bytes).unwrap();
-        match FileShard::open(&shard0) {
+        match Shard::open(&shard0, None) {
             Err(StorageError::UnsupportedVersion { version, .. }) => assert_eq!(version, 99),
             other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
@@ -2238,7 +2179,7 @@ mod tests {
         let old_len = u32::from_le_bytes(bytes[last_len_at..last_len_at + 4].try_into().unwrap());
         bytes[last_len_at..last_len_at + 4].copy_from_slice(&(old_len + 1000).to_le_bytes());
         fs::write(&shard0, &bytes).unwrap();
-        match FileShard::open(&shard0) {
+        match Shard::open(&shard0, None) {
             Err(StorageError::CorruptDirectory { detail, .. }) => {
                 assert!(detail.contains("overruns"), "unexpected detail: {detail}")
             }
@@ -2254,7 +2195,7 @@ mod tests {
         let old = u32::from_le_bytes(bytes[offset_at..offset_at + 4].try_into().unwrap());
         bytes[offset_at..offset_at + 4].copy_from_slice(&(old + 1).to_le_bytes());
         fs::write(&shard0, &bytes).unwrap();
-        match FileShard::open(&shard0) {
+        match Shard::open(&shard0, None) {
             Err(StorageError::CorruptDirectory { detail, .. }) => {
                 assert!(detail.contains("tile"), "unexpected detail: {detail}")
             }
@@ -2267,7 +2208,7 @@ mod tests {
         let (_dir, shard0, mut bytes) = saved_index(0);
         bytes.extend_from_slice(b"junk");
         fs::write(&shard0, &bytes).unwrap();
-        match FileShard::open(&shard0) {
+        match Shard::open(&shard0, None) {
             Err(StorageError::CorruptDirectory { detail, .. }) => {
                 assert!(detail.contains("trailing"), "unexpected detail: {detail}")
             }
@@ -2635,7 +2576,7 @@ mod tests {
         const BLOCKS_IN_BUDGET: usize = 24;
         const KEY_SPACE: u32 = 192; // 8× the budget: constant eviction churn
         let budget = BLOCKS_IN_BUDGET * BLOCK;
-        let cache = BlockCache::new(budget);
+        let cache = BlockCache::new(Some(budget));
         let stop = AtomicBool::new(false);
 
         std::thread::scope(|scope| {
@@ -2652,7 +2593,7 @@ mod tests {
                         }
                         // Every thread validates the mid-flight bound on
                         // every step, not just at a sampling cadence.
-                        let resident = cache.resident_bytes();
+                        let resident = cache.stats().resident_bytes;
                         assert!(
                             resident <= budget + THREADS * BLOCK,
                             "mid-flight resident {resident} exceeds budget {budget} \
@@ -2669,13 +2610,13 @@ mod tests {
             scope.spawn(move || {
                 let mut last_evictions = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let evictions = cache.evictions();
+                    let evictions = cache.stats().evictions;
                     assert!(
                         evictions >= last_evictions,
                         "eviction counter went backwards: {last_evictions} -> {evictions}"
                     );
                     last_evictions = evictions;
-                    assert!(cache.resident_bytes() <= budget + THREADS * BLOCK);
+                    assert!(cache.stats().resident_bytes <= budget + THREADS * BLOCK);
                     std::thread::yield_now();
                 }
             });
@@ -2683,18 +2624,18 @@ mod tests {
 
         // Quiescent: no insert mid-flight, so the budget holds exactly and
         // the resident counter agrees byte-for-byte with the slots held.
-        let resident = cache.resident_bytes();
+        let resident = cache.stats().resident_bytes;
         assert!(
             resident <= budget,
             "quiescent resident {resident} exceeds budget {budget}"
         );
-        let held: usize = (0..4).map(|s| cache.shard_resident_bytes(s)).sum();
+        let held = cache.held_bytes();
         assert_eq!(
             resident, held,
             "resident counter must match the bytes actually cached"
         );
         assert!(
-            cache.evictions() > 0,
+            cache.stats().evictions > 0,
             "a working set 8× the budget must evict"
         );
     }

@@ -6,8 +6,8 @@ use crate::persist::{self, OwnerKey, OwnerPayload, SEED_LEN};
 use rand::{CryptoRng, RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 use rsse_core::{
-    BuildBudget, Dataset, DocId, IndexStats, MergeInput, QueryOutcome, QueryStats, RangeScheme,
-    Record, StorageConfig, StorageError,
+    BuildBudget, Dataset, DocId, IndexStats, QueryOutcome, QueryStats, RangeScheme, Record,
+    StorageConfig, StorageError,
 };
 use rsse_cover::{Domain, Range};
 use rsse_crypto::KeyChain;
@@ -1022,13 +1022,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             .chain
             .as_ref()
             .expect("consolidation only runs after an ingest ensured the chain");
-        let inputs: Vec<MergeInput<'_, S::Server>> = group
-            .iter()
-            .map(|instance| MergeInput {
-                server: &instance.server,
-                dir: instance.dir.as_deref(),
-            })
-            .collect();
+        let inputs: Vec<&S::Server> = group.iter().map(|instance| &instance.server).collect();
         let built = (|| -> Result<S::Server, StorageError> {
             let server = S::merge_stored(&inputs, &config)?;
             if let rsse_core::StorageBackend::OnDisk(dir) = &config.backend {
@@ -1146,26 +1140,6 @@ impl<S: RangeScheme> UpdateManager<S> {
             }
         }
         Ok(QueryOutcome { ids, stats })
-    }
-
-    /// Resilient variant of [`try_query`](Self::try_query): storage
-    /// failures are retried whole-query under a shared
-    /// [`RetryPolicy`](rsse_serve::RetryPolicy) — its budget and jittered
-    /// backoff — instead of aborting on the first failed block read.
-    /// Exhaustion (attempt limit or dry budget) surfaces as the policy's
-    /// typed [`ServeError`](rsse_serve::ServeError).
-    ///
-    /// The retry is whole-query because manager-side refinement folds every
-    /// instance's results together; per-probe retry lives in
-    /// `rsse_serve::ResilientServer`, below this layer. Passing one policy
-    /// (and clock) across managers gives all of them one repair budget.
-    pub fn try_query_resilient(
-        &self,
-        range: Range,
-        policy: &rsse_serve::RetryPolicy,
-        clock: &dyn rsse_serve::Clock,
-    ) -> Result<QueryOutcome, rsse_serve::ServeError> {
-        policy.run(clock, || self.try_query(range))
     }
 
     /// The plaintext ground truth of the manager's current logical state —

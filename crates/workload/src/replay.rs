@@ -161,8 +161,11 @@ where
     UpdateManager<S>: Send + Sync,
 {
     fn query(&self, _tenant: &str, range: Range) -> QueryFate {
+        // Storage failures are retried whole-query under the shared policy:
+        // manager-side refinement folds every instance's results together,
+        // so per-probe retry (`ResilientServer`) does not apply here.
         let manager = self.manager.read().expect("manager lock poisoned");
-        QueryFate::of_serve(&manager.try_query_resilient(range, &self.policy, &self.clock))
+        QueryFate::of_serve(&self.policy.run(&self.clock, || manager.try_query(range)))
     }
 
     fn insert(&self, entries: &[UpdateEntry]) -> bool {
