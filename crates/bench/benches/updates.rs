@@ -15,7 +15,7 @@ use std::time::Duration;
 fn ingest(batches: usize, batch_size: usize, step: usize) -> UpdateManager<LogScheme> {
     let domain = Domain::new(1 << 16);
     let mut rng = ChaCha20Rng::seed_from_u64(5);
-    let mut manager: UpdateManager<LogScheme> = UpdateManager::new(
+    let manager: UpdateManager<LogScheme> = UpdateManager::new(
         domain,
         UpdateConfig {
             consolidation_step: step,
@@ -81,8 +81,7 @@ fn bench_manager_reopen(c: &mut Criterion) {
     };
     let drive = |cfg: UpdateConfig| -> UpdateManager<LogScheme> {
         let mut rng = ChaCha20Rng::seed_from_u64(5);
-        let mut manager: UpdateManager<LogScheme> =
-            UpdateManager::with_key(key.clone(), domain, cfg);
+        let manager: UpdateManager<LogScheme> = UpdateManager::with_key(key.clone(), domain, cfg);
         for entries in rsse_workload::insert_batches(&domain, batches, batch_size, 1, &mut rng) {
             manager.ingest_batch(entries, &mut rng);
         }

@@ -210,7 +210,7 @@ fn run_child(opts: &Opts, mode: &str) -> ! {
         consolidation_mode,
     };
     let key = OwnerKey::from_bytes([7u8; 32]);
-    let mut manager: UpdateManager<LogScheme> =
+    let manager: UpdateManager<LogScheme> =
         UpdateManager::with_key(key, Domain::new(DOMAIN), config);
     let started = Instant::now();
     for b in 0..opts.batches {

@@ -14,8 +14,8 @@
 //! * `burst_storm`   — calm base load with periodic storm windows at many
 //!   times the base rate, same query population;
 //! * `mixed_updates` — diurnal arrivals mixing Zipf queries with insert
-//!   batches through the `UpdateManager` (single-writer, so inserts
-//!   serialize against concurrent reads).
+//!   batches through the `UpdateManager` (inserts run one at a time;
+//!   queries answer from the last published snapshot without waiting).
 //!
 //! Every replay is open-loop: send times come from the trace, late events
 //! fire immediately and their lag counts toward latency (coordinated
@@ -409,7 +409,7 @@ fn run_mixed_scenario(
 ) -> (ScenarioResult, UpdateManager<LogScheme>) {
     let domain = Domain::new(1 << 16);
     let mut rng = ChaCha20Rng::seed_from_u64(opts.seed);
-    let mut manager: UpdateManager<LogScheme> =
+    let manager: UpdateManager<LogScheme> =
         UpdateManager::with_key(key.clone(), domain, manager_config);
     // Pre-load so queries have something to find from the first event.
     for batch in insert_batches(&domain, 4, 200, 1, &mut rng) {

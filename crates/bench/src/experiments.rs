@@ -427,7 +427,7 @@ pub fn ablation_updates(scale: &Scale) -> Report {
     );
     for s in [0usize, 2, 4, 8] {
         let mut rng = ChaCha20Rng::seed_from_u64(scale.seed + 100 + s as u64);
-        let mut manager: UpdateManager<LogScheme> = UpdateManager::new(
+        let manager: UpdateManager<LogScheme> = UpdateManager::new(
             domain,
             UpdateConfig {
                 consolidation_step: s,

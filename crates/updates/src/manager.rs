@@ -15,8 +15,10 @@ use rsse_sse::storage::{
     read_manager_manifest, read_owner_meta, write_manager_manifest, write_owner_meta,
     ManagerManifest, ManifestInstance, OwnerMeta,
 };
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// How the manager realizes a due consolidation (see
 /// [`UpdateConfig::consolidation_mode`]).
@@ -352,7 +354,12 @@ impl<S: RangeScheme> BatchInstance<S> {
 
     /// Removes the instance's persisted index directory, if any (called
     /// when a consolidation supersedes it; best effort — a leftover
-    /// directory wastes disk but cannot corrupt the merged state).
+    /// directory wastes disk until the next
+    /// [`UpdateManager::open_root`], which recognizes it as superseded by
+    /// the consolidation above it and sweeps it). Readers pinning a
+    /// snapshot that still holds the instance keep answering from it:
+    /// its shard files stay open, and an unlinked open file stays
+    /// readable on Linux.
     fn remove_dir(&self) {
         if let Some(dir) = &self.dir {
             let _ = std::fs::remove_dir_all(dir);
@@ -407,7 +414,7 @@ enum Merged<S: RangeScheme> {
     /// A simulated kill struck **before** the merged instance's commit
     /// record was written: the inputs stay the active state and only
     /// debris is left on disk.
-    KilledEarly { group: Vec<BatchInstance<S>> },
+    KilledEarly { group: Vec<Arc<BatchInstance<S>>> },
 }
 
 /// Test support: turns a fully committed merged-instance directory into
@@ -437,18 +444,16 @@ fn simulate_commit_kill(dir: &Path, kill: KillPoint) {
     }
 }
 
-/// Owner-side manager of a dynamically updated, privately searchable
-/// dataset.
-pub struct UpdateManager<S: RangeScheme> {
-    domain: Domain,
-    config: UpdateConfig,
-    /// Master-key chain sealing the per-instance owner sidecars. Drawn
-    /// lazily from the first ingest's RNG unless supplied up front via
-    /// [`with_key`](Self::with_key) / [`open_root`](Self::open_root).
-    chain: Option<KeyChain>,
+/// The manager's mutable state, published as one immutable snapshot.
+///
+/// Queries pin the current snapshot (an `Arc` clone) and run against it
+/// without further locking; an ingest works on a private clone — cloning
+/// is O(instances) `Arc` bumps — and publishes it whole once the root
+/// manifest describing it is committed.
+struct State<S: RangeScheme> {
     /// `levels[l]` holds the not-yet-consolidated instances at height `l` of
     /// the s-ary merge tree (level 0 = raw batches).
-    levels: Vec<Vec<BatchInstance<S>>>,
+    levels: Vec<Vec<Arc<BatchInstance<S>>>>,
     next_seq: u64,
     /// Monotonic counter naming persisted instance directories — a merged
     /// instance reuses the newest `seq` of its group, so `seq` alone would
@@ -462,6 +467,61 @@ pub struct UpdateManager<S: RangeScheme> {
     rebuild_consolidations: usize,
 }
 
+// Not derived: a derive would demand `S: Clone`, but only the `Arc`s are
+// cloned.
+impl<S: RangeScheme> Clone for State<S> {
+    fn clone(&self) -> Self {
+        Self {
+            levels: self.levels.clone(),
+            next_seq: self.next_seq,
+            next_build: self.next_build,
+            batches_ingested: self.batches_ingested,
+            structural_consolidations: self.structural_consolidations,
+            rebuild_consolidations: self.rebuild_consolidations,
+        }
+    }
+}
+
+impl<S: RangeScheme> State<S> {
+    fn empty() -> Self {
+        Self {
+            levels: Vec::new(),
+            next_seq: 0,
+            next_build: 0,
+            batches_ingested: 0,
+            structural_consolidations: 0,
+            rebuild_consolidations: 0,
+        }
+    }
+
+    /// Every active instance, level by level.
+    fn instances(&self) -> impl Iterator<Item = &BatchInstance<S>> {
+        self.levels.iter().flatten().map(|instance| &**instance)
+    }
+}
+
+/// Owner-side manager of a dynamically updated, privately searchable
+/// dataset.
+///
+/// Queries never wait for ingest: they pin the current published
+/// snapshot, while [`try_ingest_batch`](Self::try_ingest_batch) builds,
+/// consolidates and commits on a private copy and then swaps it in.
+/// Writers are serialized among themselves.
+pub struct UpdateManager<S: RangeScheme> {
+    domain: Domain,
+    config: UpdateConfig,
+    /// Master-key chain sealing the per-instance owner sidecars. Drawn
+    /// lazily from the first ingest's RNG unless supplied up front via
+    /// [`with_key`](Self::with_key) / [`open_root`](Self::open_root).
+    chain: OnceLock<KeyChain>,
+    /// The published snapshot. The lock is held only to clone or swap the
+    /// `Arc`, never across a query or an ingest.
+    state: RwLock<Arc<State<S>>>,
+    /// Serializes ingests: each one runs on a clone of the snapshot it
+    /// started from, so two at once would lose one's work.
+    writer: Mutex<()>,
+}
+
 impl<S: RangeScheme> UpdateManager<S> {
     /// Creates an empty manager over `domain`.
     ///
@@ -473,16 +533,21 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// Managers restarted across processes should prefer
     /// [`with_key`](Self::with_key).
     pub fn new(domain: Domain, config: UpdateConfig) -> Self {
+        Self::from_state(domain, config, OnceLock::new(), State::empty())
+    }
+
+    fn from_state(
+        domain: Domain,
+        config: UpdateConfig,
+        chain: OnceLock<KeyChain>,
+        state: State<S>,
+    ) -> Self {
         Self {
             domain,
             config,
-            chain: None,
-            levels: Vec::new(),
-            next_seq: 0,
-            next_build: 0,
-            batches_ingested: 0,
-            structural_consolidations: 0,
-            rebuild_consolidations: 0,
+            chain,
+            state: RwLock::new(Arc::new(state)),
+            writer: Mutex::new(()),
         }
     }
 
@@ -491,9 +556,12 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// [`open_root`](Self::open_root) will later need to reopen the
     /// manager from its storage root.
     pub fn with_key(key: OwnerKey, domain: Domain, config: UpdateConfig) -> Self {
-        let mut manager = Self::new(domain, config);
-        manager.chain = Some(KeyChain::new(key));
-        manager
+        Self::from_state(
+            domain,
+            config,
+            OnceLock::from(KeyChain::new(key)),
+            State::empty(),
+        )
     }
 
     /// The owner master key, if one has been set or drawn yet (`None`
@@ -501,16 +569,24 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// This is the key to persist alongside the storage root: without it
     /// the root cannot be reopened.
     pub fn owner_key(&self) -> Option<&OwnerKey> {
-        self.chain.as_ref().map(KeyChain::master)
+        self.chain.get().map(KeyChain::master)
     }
 
-    /// Ensures the master-key chain exists, drawing a fresh key from `rng`
-    /// on the first ingest of a manager built without one.
-    fn ensure_chain<R: RngCore + CryptoRng>(&mut self, rng: &mut R) -> &KeyChain {
-        if self.chain.is_none() {
-            self.chain = Some(KeyChain::generate(rng));
-        }
-        self.chain.as_ref().expect("chain was just ensured")
+    /// Pins the current snapshot.
+    fn snapshot(&self) -> Arc<State<S>> {
+        // The lock only guards an `Arc` swap, which cannot leave it
+        // half-done, so a poisoned lock still holds a whole snapshot.
+        Arc::clone(&self.state.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Publishes `state` as the snapshot every later query pins. The
+    /// superseded snapshot is released outside the lock: if no query
+    /// pins it any more, dropping it frees the consumed instances.
+    fn publish(&self, state: State<S>) {
+        let mut current = self.state.write().unwrap_or_else(PoisonError::into_inner);
+        let superseded = std::mem::replace(&mut *current, Arc::new(state));
+        drop(current);
+        drop(superseded);
     }
 
     /// The storage configuration for the next index build of `entry_count`
@@ -523,9 +599,13 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// exactly the consolidation-rebuild case once a level has grown large
     /// — the budget is attached to the instance configuration, routing the
     /// scheme's build through the external-memory pipeline.
-    fn next_instance_config(&mut self, entry_count: usize) -> (u64, StorageConfig) {
-        let build_id = self.next_build;
-        self.next_build += 1;
+    fn next_instance_config(
+        &self,
+        state: &mut State<S>,
+        entry_count: usize,
+    ) -> (u64, StorageConfig) {
+        let build_id = state.next_build;
+        state.next_build += 1;
         let mut config = match &self.config.storage_root {
             None => StorageConfig::in_memory(self.config.shard_bits),
             Some(root) => {
@@ -557,34 +637,35 @@ impl<S: RangeScheme> UpdateManager<S> {
         entry_count.saturating_mul(per_record)
     }
 
-    /// The root manifest describing the manager's current durable state.
-    fn manifest(&self) -> ManagerManifest {
+    /// The root manifest describing `state`.
+    fn manifest(&self, state: &State<S>) -> ManagerManifest {
         ManagerManifest {
             scheme: S::NAME.to_string(),
             domain_size: self.domain.size(),
             consolidation_step: self.config.consolidation_step as u64,
             shard_bits: self.config.shard_bits,
             cache_budget: self.config.cache_budget.map(|b| b as u64),
-            next_seq: self.next_seq,
-            next_build: self.next_build,
-            batches_ingested: self.batches_ingested as u64,
-            consolidations: (self.structural_consolidations + self.rebuild_consolidations) as u64,
-            structural_consolidations: self.structural_consolidations as u64,
-            rebuild_consolidations: self.rebuild_consolidations as u64,
-            levels: self
+            next_seq: state.next_seq,
+            next_build: state.next_build,
+            batches_ingested: state.batches_ingested as u64,
+            consolidations: (state.structural_consolidations + state.rebuild_consolidations) as u64,
+            structural_consolidations: state.structural_consolidations as u64,
+            rebuild_consolidations: state.rebuild_consolidations as u64,
+            levels: state
                 .levels
                 .iter()
-                .map(|level| level.iter().map(BatchInstance::manifest_record).collect())
+                .map(|level| level.iter().map(|i| i.manifest_record()).collect())
                 .collect(),
         }
     }
 
-    /// Commits the root manifest (atomic tmp + rename). No-op without a
-    /// storage root: an in-memory manager has no durable state to record.
-    fn persist_manifest(&self) -> Result<(), StorageError> {
+    /// Commits the root manifest of `state` (atomic tmp + rename). No-op
+    /// without a storage root: an in-memory manager has no durable state
+    /// to record.
+    fn persist_manifest(&self, state: &State<S>) -> Result<(), StorageError> {
         match &self.config.storage_root {
             None => Ok(()),
-            Some(root) => write_manager_manifest(root, &self.manifest()),
+            Some(root) => write_manager_manifest(root, &self.manifest(state)),
         }
     }
 
@@ -595,12 +676,12 @@ impl<S: RangeScheme> UpdateManager<S> {
 
     /// Number of currently active (separately queried) index instances.
     pub fn active_instances(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.snapshot().levels.iter().map(Vec::len).sum()
     }
 
     /// Number of raw batches ingested so far.
     pub fn batches_ingested(&self) -> usize {
-        self.batches_ingested
+        self.snapshot().batches_ingested
     }
 
     /// Total number of consolidation operations performed, across both
@@ -608,21 +689,22 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// [`structural_consolidations`](Self::structural_consolidations)` + `
     /// [`rebuild_consolidations`](Self::rebuild_consolidations).
     pub fn consolidations(&self) -> usize {
-        self.structural_consolidations + self.rebuild_consolidations
+        let state = self.snapshot();
+        state.structural_consolidations + state.rebuild_consolidations
     }
 
     /// Number of consolidations realized as re-encryption-free structural
     /// merges (only ever non-zero under
     /// [`ConsolidationMode::Structural`]).
     pub fn structural_consolidations(&self) -> usize {
-        self.structural_consolidations
+        self.snapshot().structural_consolidations
     }
 
     /// Number of consolidations realized as full merge-and-re-encrypt
     /// rebuilds — the paper's baseline strategy, including any
     /// structural-mode consolidations that fell back to it.
     pub fn rebuild_consolidations(&self) -> usize {
-        self.rebuild_consolidations
+        self.snapshot().rebuild_consolidations
     }
 
     /// Number of currently active instances that are structurally merged
@@ -631,18 +713,16 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// counts live state, not history: a structural instance that is later
     /// consolidated away (or rebuilt) stops counting.
     pub fn structural_instances(&self) -> usize {
-        self.levels
-            .iter()
-            .flatten()
+        self.snapshot()
+            .instances()
             .filter(|instance| instance.kind.is_structural())
             .count()
     }
 
     /// Combined index statistics over all active instances.
     pub fn index_stats(&self) -> IndexStats {
-        self.levels
-            .iter()
-            .flatten()
+        self.snapshot()
+            .instances()
             .map(|instance| S::index_stats(&instance.server))
             .fold(IndexStats::default(), IndexStats::merged)
     }
@@ -655,7 +735,7 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// a configured on-disk backend fails (use
     /// [`try_ingest_batch`](Self::try_ingest_batch) to handle storage
     /// errors instead).
-    pub fn ingest_batch<R: RngCore + CryptoRng>(&mut self, entries: Vec<UpdateEntry>, rng: &mut R) {
+    pub fn ingest_batch<R: RngCore + CryptoRng>(&self, entries: Vec<UpdateEntry>, rng: &mut R) {
         self.try_ingest_batch(entries, rng)
             .expect("storage backend failed during batch ingestion");
     }
@@ -667,11 +747,16 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// input instances (the batch itself stays ingested), so active state
     /// never degrades on error.
     ///
+    /// Queries running meanwhile answer from the snapshot published before
+    /// this ingest; the new state becomes visible to later queries once
+    /// its root manifest is committed. Concurrent ingests run one at a
+    /// time.
+    ///
     /// # Panics
     /// Panics if an entry's value lies outside the manager's domain (a
     /// caller bug, not an environmental failure).
     pub fn try_ingest_batch<R: RngCore + CryptoRng>(
-        &mut self,
+        &self,
         entries: Vec<UpdateEntry>,
         rng: &mut R,
     ) -> Result<(), StorageError> {
@@ -686,7 +771,7 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// reopen the root with [`open_root`](Self::open_root).
     #[doc(hidden)]
     pub fn try_ingest_batch_kill_at<R: RngCore + CryptoRng>(
-        &mut self,
+        &self,
         entries: Vec<UpdateEntry>,
         rng: &mut R,
         kill: KillPoint,
@@ -694,8 +779,12 @@ impl<S: RangeScheme> UpdateManager<S> {
         self.try_ingest_batch_inner(entries, rng, Some(kill))
     }
 
+    /// Takes the writer lock, runs the ingest on a clone of the current
+    /// snapshot and publishes the clone — on success once the manifest is
+    /// committed, and on the error and kill paths too, so the in-memory
+    /// state ends exactly where the ingest left it.
     fn try_ingest_batch_inner<R: RngCore + CryptoRng>(
-        &mut self,
+        &self,
         entries: Vec<UpdateEntry>,
         rng: &mut R,
         kill: Option<KillPoint>,
@@ -708,12 +797,27 @@ impl<S: RangeScheme> UpdateManager<S> {
                 self.domain.size()
             );
         }
-        self.ensure_chain(rng);
+        // A writer that panicked never published, so the snapshot behind a
+        // poisoned lock is still the last committed one.
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = State::clone(&self.snapshot());
+        let result = self.ingest_into(&mut state, entries, rng, kill);
+        self.publish(state);
+        result
+    }
+
+    fn ingest_into<R: RngCore + CryptoRng>(
+        &self,
+        state: &mut State<S>,
+        entries: Vec<UpdateEntry>,
+        rng: &mut R,
+        kill: Option<KillPoint>,
+    ) -> Result<(), StorageError> {
+        let chain = self.chain.get_or_init(|| KeyChain::generate(rng));
         let mut seed = [0u8; SEED_LEN];
         rng.fill_bytes(&mut seed);
-        let seq = self.next_seq;
-        let (build_id, config) = self.next_instance_config(entries.len());
-        let chain = self.chain.as_ref().expect("chain ensured above");
+        let seq = state.next_seq;
+        let (build_id, config) = self.next_instance_config(state, entries.len());
         let instance = match BatchInstance::build(
             self.domain,
             build_id,
@@ -733,16 +837,16 @@ impl<S: RangeScheme> UpdateManager<S> {
                 return Err(error);
             }
         };
-        self.next_seq += 1;
-        self.batches_ingested += 1;
-        if self.levels.is_empty() {
-            self.levels.push(Vec::new());
+        state.next_seq += 1;
+        state.batches_ingested += 1;
+        if state.levels.is_empty() {
+            state.levels.push(Vec::new());
         }
-        self.levels[0].push(instance);
+        state.levels[0].push(Arc::new(instance));
         if kill == Some(KillPoint::AfterBatchBuild) {
             return Ok(());
         }
-        if self.consolidate_due_levels(rng, kill)? {
+        if self.consolidate_due_levels(state, rng, kill)? {
             return Ok(()); // killed mid-consolidation: no manifest commit
         }
         // The manifest is committed last, once every instance directory it
@@ -750,14 +854,15 @@ impl<S: RangeScheme> UpdateManager<S> {
         // describing the previous consistent state, which open_root heals
         // (rolling an uncommitted batch back, a committed consolidation
         // forward).
-        self.persist_manifest()
+        self.persist_manifest(state)
     }
 
     /// Runs every due consolidation. Returns `true` if a simulated kill
     /// stopped the work mid-way (test support; the caller must then skip
     /// the manifest commit, exactly as a killed process would have).
     fn consolidate_due_levels<R: RngCore + CryptoRng>(
-        &mut self,
+        &self,
+        state: &mut State<S>,
         rng: &mut R,
         kill: Option<KillPoint>,
     ) -> Result<bool, StorageError> {
@@ -766,23 +871,23 @@ impl<S: RangeScheme> UpdateManager<S> {
             return Ok(false);
         }
         let mut level = 0;
-        while level < self.levels.len() {
-            if self.levels[level].len() >= step {
-                let group: Vec<BatchInstance<S>> = self.levels[level].drain(..).collect();
-                match self.merge_instances(group, level, rng, kill) {
+        while level < state.levels.len() {
+            if state.levels[level].len() >= step {
+                let group: Vec<Arc<BatchInstance<S>>> = state.levels[level].drain(..).collect();
+                match self.merge_instances(state, group, level, rng, kill) {
                     Ok(Merged::Committed {
                         instance,
                         structural,
                         killed,
                     }) => {
-                        if self.levels.len() <= level + 1 {
-                            self.levels.push(Vec::new());
+                        if state.levels.len() <= level + 1 {
+                            state.levels.push(Vec::new());
                         }
-                        self.levels[level + 1].push(instance);
+                        state.levels[level + 1].push(Arc::new(instance));
                         if structural {
-                            self.structural_consolidations += 1;
+                            state.structural_consolidations += 1;
                         } else {
-                            self.rebuild_consolidations += 1;
+                            state.rebuild_consolidations += 1;
                         }
                         if killed {
                             return Ok(true);
@@ -792,12 +897,12 @@ impl<S: RangeScheme> UpdateManager<S> {
                         // The merged instance never committed: the inputs
                         // stay the active state (exactly what reopen will
                         // reconstruct once the debris is swept).
-                        self.levels[level] = group;
+                        state.levels[level] = group;
                         return Ok(true);
                     }
                     Err((group, error)) => {
                         // Roll back: the inputs stay active, nothing lost.
-                        self.levels[level] = group;
+                        state.levels[level] = group;
                         return Err(error);
                     }
                 }
@@ -823,12 +928,13 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// until a later merge meets the stale version and purges both.
     #[allow(clippy::type_complexity)]
     fn merge_instances<R: RngCore + CryptoRng>(
-        &mut self,
-        mut group: Vec<BatchInstance<S>>,
+        &self,
+        state: &mut State<S>,
+        mut group: Vec<Arc<BatchInstance<S>>>,
         level: usize,
         rng: &mut R,
         kill: Option<KillPoint>,
-    ) -> Result<Merged<S>, (Vec<BatchInstance<S>>, StorageError)> {
+    ) -> Result<Merged<S>, (Vec<Arc<BatchInstance<S>>>, StorageError)> {
         group.sort_by_key(|instance| instance.seq);
         let newest_seq = group.last().map(|i| i.seq).unwrap_or(0);
         // The flattened part layout of a prospective structural merge:
@@ -859,12 +965,10 @@ impl<S: RangeScheme> UpdateManager<S> {
                 latest.insert(entry.record.id, (*entry, part));
             }
         }
-        // `self.levels` no longer contains the drained group, so every
+        // `state.levels` no longer contains the drained group, so every
         // instance seen here is a live instance outside the merge.
-        let touched_elsewhere: HashSet<DocId> = self
-            .levels
-            .iter()
-            .flatten()
+        let touched_elsewhere: HashSet<DocId> = state
+            .instances()
             .flat_map(|instance| instance.ops.keys().copied())
             .collect();
         let surviving: Vec<(UpdateEntry, u32)> = latest
@@ -895,7 +999,7 @@ impl<S: RangeScheme> UpdateManager<S> {
         if self.config.consolidation_mode == ConsolidationMode::Structural
             && S::supports_structural_merge()
         {
-            match self.merge_structural(&group, level, newest_seq, &surviving, kill) {
+            match self.merge_structural(state, &group, level, newest_seq, &surviving, kill) {
                 Ok(Some(instance)) => {
                     if kill == Some(KillPoint::AfterMergeBuild) {
                         return Ok(Merged::Committed {
@@ -922,10 +1026,10 @@ impl<S: RangeScheme> UpdateManager<S> {
         let surviving: Vec<UpdateEntry> = surviving.into_iter().map(|(entry, _)| entry).collect();
         let mut seed = [0u8; SEED_LEN];
         rng.fill_bytes(&mut seed);
-        let (build_id, config) = self.next_instance_config(surviving.len());
+        let (build_id, config) = self.next_instance_config(state, surviving.len());
         let chain = self
             .chain
-            .as_ref()
+            .get()
             .expect("consolidation only runs after an ingest ensured the chain");
         match BatchInstance::build(
             self.domain,
@@ -994,8 +1098,9 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// [`StorageError::Unsupported`] when the merge cannot proceed
     /// structurally — the caller falls back to a rebuild.
     fn merge_structural(
-        &mut self,
-        group: &[BatchInstance<S>],
+        &self,
+        state: &mut State<S>,
+        group: &[Arc<BatchInstance<S>>],
         level: usize,
         newest_seq: u64,
         surviving: &[(UpdateEntry, u32)],
@@ -1017,10 +1122,10 @@ impl<S: RangeScheme> UpdateManager<S> {
                 S::derive_client(&self.domain, &mut rng).map(|client| (client, seed))
             })
             .collect::<Result<Vec<(S, [u8; SEED_LEN])>, StorageError>>()?;
-        let (build_id, config) = self.next_instance_config(surviving.len());
+        let (build_id, config) = self.next_instance_config(state, surviving.len());
         let chain = self
             .chain
-            .as_ref()
+            .get()
             .expect("consolidation only runs after an ingest ensured the chain");
         let inputs: Vec<&S::Server> = group.iter().map(|instance| &instance.server).collect();
         let built = (|| -> Result<S::Server, StorageError> {
@@ -1102,23 +1207,16 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// [`StorageError`] instead of silently dropping that instance's
     /// results (which would be indistinguishable from the tuples not
     /// existing — exactly the confusion the fallible path removes).
+    ///
+    /// The query pins the snapshot published when it starts and answers
+    /// from it alone: an ingest or consolidation running meanwhile neither
+    /// blocks it nor shows through half-done.
     pub fn try_query(&self, range: Range) -> Result<QueryOutcome, StorageError> {
-        // Owner-side refinement metadata: the newest sequence number that
-        // touched each id, across all active instances.
-        let mut newest_touch: HashMap<DocId, u64> = HashMap::new();
-        for instance in self.levels.iter().flatten() {
-            for &id in instance.ops.keys() {
-                let entry = newest_touch.entry(id).or_insert(instance.seq);
-                if instance.seq > *entry {
-                    *entry = instance.seq;
-                }
-            }
-        }
-
+        let state = self.snapshot();
         let mut ids: Vec<DocId> = Vec::new();
         let mut seen: HashSet<DocId> = HashSet::new();
         let mut stats = QueryStats::default();
-        for instance in self.levels.iter().flatten() {
+        for instance in state.instances() {
             let outcome = instance.try_query(range)?;
             stats.tokens_sent += outcome.stats.tokens_sent;
             stats.token_bytes += outcome.stats.token_bytes;
@@ -1126,13 +1224,18 @@ impl<S: RangeScheme> UpdateManager<S> {
             stats.entries_touched += outcome.stats.entries_touched;
             stats.result_groups += outcome.stats.result_groups;
             for id in outcome.ids {
-                // Only the instance that holds the *newest* version of the
-                // tuple is authoritative for it.
-                if newest_touch.get(&id) != Some(&instance.seq) {
+                // Only the instance that holds the *newest* version of a
+                // tuple is authoritative for it: no newer active instance
+                // (active sequence numbers are unique) may touch the id.
+                if state
+                    .instances()
+                    .any(|other| other.seq > instance.seq && other.ops.contains_key(&id))
+                {
                     continue;
                 }
-                if instance.ops.get(&id) == Some(&UpdateOp::Delete) {
-                    continue;
+                match instance.ops.get(&id) {
+                    None | Some(UpdateOp::Delete) => continue,
+                    Some(_) => {}
                 }
                 if seen.insert(id) {
                     ids.push(id);
@@ -1147,7 +1250,7 @@ impl<S: RangeScheme> UpdateManager<S> {
     /// ablation experiment.
     pub fn ground_truth(&self, range: Range) -> Vec<DocId> {
         let mut latest: BTreeMap<DocId, (u64, UpdateEntry)> = BTreeMap::new();
-        for instance in self.levels.iter().flatten() {
+        for instance in self.snapshot().instances() {
             for entry in &instance.entries {
                 let candidate = (instance.seq, *entry);
                 match latest.get(&entry.record.id) {
@@ -1197,13 +1300,18 @@ impl<S: RangeScheme> UpdateManager<S> {
     ///   directory is swept after its sidecar authenticates);
     /// * a **consolidated instance** committed but unreferenced — the
     ///   merge is rolled *forward*: the merged instance supersedes every
-    ///   referenced instance one level down with a sequence number at or
-    ///   below its own (their directories, GC'd or still present, are
+    ///   referenced instance at a lower level with a sequence number at
+    ///   or below its own (their directories, GC'd or still present, are
     ///   resolved), and the consolidation counter advances;
     /// * a manifest referencing an instance whose directory was already
     ///   **GC'd** — tolerated exactly when a committed consolidation
     ///   supersedes it (the previous case); otherwise the root is
-    ///   genuinely damaged and the open fails typed.
+    ///   genuinely damaged and the open fails typed;
+    /// * an unreferenced consolidated instance that a kept or adopted
+    ///   instance at a higher level supersedes (sequence number at or
+    ///   below the higher one's) — a **late-GC leftover** whose directory
+    ///   removal failed after a later merge consumed it; it is swept after
+    ///   its sidecar authenticates, never re-adopted.
     ///
     /// # Errors
     ///
@@ -1236,7 +1344,7 @@ impl<S: RangeScheme> UpdateManager<S> {
     ///
     /// // A persisted manager: every batch index and the owner state land
     /// // under `root`.
-    /// let mut manager: UpdateManager<LogScheme> =
+    /// let manager: UpdateManager<LogScheme> =
     ///     UpdateManager::with_key(key.clone(), Domain::new(256), config.clone());
     /// manager.ingest_batch((0..10).map(|i| UpdateEntry::insert(i, i * 20)).collect(), &mut rng);
     /// let before = manager.query(Range::new(0, 255));
@@ -1371,14 +1479,18 @@ impl<S: RangeScheme> UpdateManager<S> {
             }
         }
 
-        // Resolve committed-but-unreferenced instances, in (level, seq)
-        // order so cascaded consolidations adopt bottom-up.
+        // Resolve committed-but-unreferenced instances, top level first,
+        // so every consolidation is settled before the instances below it.
+        // A merge into level L happens only once the cascade has emptied
+        // every level below L, so any instance below it with a sequence
+        // number at or below the merged one's is one of its inputs, or an
+        // input's input.
         let mut orphans: Vec<(u32, u64, u64)> = sidecars
             .iter()
             .filter(|(build_id, _)| !referenced.contains(build_id))
             .map(|(&build_id, meta)| (meta.level, meta.seq, build_id))
             .collect();
-        orphans.sort_unstable();
+        orphans.sort_unstable_by_key(|&(level, seq, build_id)| (Reverse(level), seq, build_id));
         let mut sweep: Vec<u64> = Vec::new();
         let mut adopted: HashSet<u64> = HashSet::new();
         for (level, seq, build_id) in orphans {
@@ -1388,22 +1500,30 @@ impl<S: RangeScheme> UpdateManager<S> {
                 sweep.push(build_id);
                 continue;
             }
+            let superseded = levels
+                .iter()
+                .skip(level as usize + 1)
+                .flatten()
+                .any(|&(_, above, _)| above >= seq);
+            if superseded {
+                // A late-GC leftover: a kept or adopted consolidation above
+                // already consumed it, and only the best-effort removal of
+                // its directory failed.
+                sweep.push(build_id);
+                continue;
+            }
             // A committed consolidation: roll it forward. It supersedes
-            // every instance one level down with seq at or below its own
-            // (exactly its inputs — a merge drains the whole level).
-            let input_level = (level - 1) as usize;
-            if let Some(inputs) = levels.get_mut(input_level) {
-                let mut kept = Vec::with_capacity(inputs.len());
-                for input in inputs.drain(..) {
-                    if input.1 <= seq {
-                        if on_disk.contains_key(&input.0) {
-                            sweep.push(input.0); // late-GC leftover
-                        }
-                    } else {
-                        kept.push(input);
+            // every instance below its level with seq at or below its own.
+            for below in levels.iter_mut().take(level as usize) {
+                below.retain(|&(input, input_seq, _)| {
+                    if input_seq > seq {
+                        return true;
                     }
-                }
-                *inputs = kept;
+                    if on_disk.contains_key(&input) {
+                        sweep.push(input); // late-GC leftover
+                    }
+                    false
+                });
             }
             while levels.len() <= level as usize {
                 levels.push(Vec::new());
@@ -1457,7 +1577,7 @@ impl<S: RangeScheme> UpdateManager<S> {
 
         // Reconstruct the instances in level order.
         let persist_instances = config.storage_root.is_some();
-        let mut rebuilt: Vec<Vec<BatchInstance<S>>> = Vec::with_capacity(levels.len());
+        let mut rebuilt: Vec<Vec<Arc<BatchInstance<S>>>> = Vec::with_capacity(levels.len());
         for level in &levels {
             let mut instances = Vec::with_capacity(level.len());
             for (build_id, seq, record) in level {
@@ -1511,7 +1631,7 @@ impl<S: RangeScheme> UpdateManager<S> {
                 } else {
                     StorageConfig::in_memory(manifest.shard_bits)
                 };
-                instances.push(match payload {
+                instances.push(Arc::new(match payload {
                     OwnerPayload::Plain { seed, entries } => BatchInstance::reopen(
                         domain,
                         *build_id,
@@ -1534,7 +1654,7 @@ impl<S: RangeScheme> UpdateManager<S> {
                             &instance_config,
                         )?
                     }
-                });
+                }));
             }
             rebuilt.push(instances);
         }
@@ -1564,10 +1684,7 @@ impl<S: RangeScheme> UpdateManager<S> {
             .max()
             .unwrap_or(0)
             .max(manifest.next_build);
-        let manager = Self {
-            domain,
-            config,
-            chain: Some(chain),
+        let state = State {
             levels: rebuilt,
             next_seq,
             next_build,
@@ -1576,9 +1693,10 @@ impl<S: RangeScheme> UpdateManager<S> {
                 as usize,
             rebuild_consolidations: (manifest.rebuild_consolidations + adopted_rebuild) as usize,
         };
+        let manager = Self::from_state(domain, config, OnceLock::from(chain), state);
         // Re-commit the healed manifest (no-op for an in-memory restore),
         // so the next crash starts from this consistent state.
-        manager.persist_manifest()?;
+        manager.persist_manifest(&manager.snapshot())?;
         Ok(manager)
     }
 }
@@ -1611,7 +1729,7 @@ mod tests {
     #[test]
     fn inserts_across_batches_are_all_visible() {
         let mut rng = ChaCha20Rng::seed_from_u64(1);
-        let mut mgr = manager(4);
+        let mgr = manager(4);
         mgr.ingest_batch(
             (0..10).map(|i| UpdateEntry::insert(i, i * 10)).collect(),
             &mut rng,
@@ -1632,7 +1750,7 @@ mod tests {
     #[test]
     fn deletions_are_filtered_at_the_owner() {
         let mut rng = ChaCha20Rng::seed_from_u64(2);
-        let mut mgr = manager(10);
+        let mgr = manager(10);
         mgr.ingest_batch(
             vec![
                 UpdateEntry::insert(1, 50),
@@ -1650,7 +1768,7 @@ mod tests {
     #[test]
     fn modifications_supersede_older_values() {
         let mut rng = ChaCha20Rng::seed_from_u64(3);
-        let mut mgr = manager(10);
+        let mgr = manager(10);
         mgr.ingest_batch(vec![UpdateEntry::insert(7, 10)], &mut rng);
         mgr.ingest_batch(vec![UpdateEntry::modify(7, 200)], &mut rng);
         // The tuple must be found at its new value…
@@ -1663,7 +1781,7 @@ mod tests {
     fn consolidation_keeps_instance_count_logarithmic() {
         let mut rng = ChaCha20Rng::seed_from_u64(4);
         let step = 3;
-        let mut mgr = manager(step);
+        let mgr = manager(step);
         let batches = 27;
         for b in 0..batches {
             let entries = (0..5u64)
@@ -1700,9 +1818,8 @@ mod tests {
         };
         let mut rng_a = ChaCha20Rng::seed_from_u64(40);
         let mut rng_b = ChaCha20Rng::seed_from_u64(40);
-        let mut rebuild = LogManager::new(Domain::new(256), config(ConsolidationMode::Rebuild));
-        let mut structural =
-            LogManager::new(Domain::new(256), config(ConsolidationMode::Structural));
+        let rebuild = LogManager::new(Domain::new(256), config(ConsolidationMode::Rebuild));
+        let structural = LogManager::new(Domain::new(256), config(ConsolidationMode::Structural));
         for b in 0..8u64 {
             let mut entries: Vec<UpdateEntry> = (0..5u64)
                 .map(|i| UpdateEntry::insert(b * 10 + i, (b * 37 + i * 11) % 256))
@@ -1742,7 +1859,7 @@ mod tests {
         // mode must silently fall back to the rebuild path and attribute
         // the consolidations accordingly.
         let mut rng = ChaCha20Rng::seed_from_u64(41);
-        let mut mgr: UpdateManager<LogSrcIScheme> = UpdateManager::new(
+        let mgr: UpdateManager<LogSrcIScheme> = UpdateManager::new(
             Domain::new(128),
             UpdateConfig {
                 consolidation_step: 2,
@@ -1771,7 +1888,7 @@ mod tests {
     #[test]
     fn consolidation_purges_deleted_tuples() {
         let mut rng = ChaCha20Rng::seed_from_u64(5);
-        let mut mgr = manager(2);
+        let mgr = manager(2);
         mgr.ingest_batch(
             vec![UpdateEntry::insert(1, 10), UpdateEntry::insert(2, 20)],
             &mut rng,
@@ -1788,7 +1905,7 @@ mod tests {
     #[test]
     fn query_stats_accumulate_across_instances() {
         let mut rng = ChaCha20Rng::seed_from_u64(6);
-        let mut mgr = manager(0); // never consolidate
+        let mgr = manager(0); // never consolidate
         for b in 0..4u64 {
             mgr.ingest_batch(vec![UpdateEntry::insert(b, b * 11)], &mut rng);
         }
@@ -1801,7 +1918,7 @@ mod tests {
     #[test]
     fn works_with_interactive_schemes_too() {
         let mut rng = ChaCha20Rng::seed_from_u64(7);
-        let mut mgr: UpdateManager<LogSrcIScheme> =
+        let mgr: UpdateManager<LogSrcIScheme> =
             UpdateManager::new(Domain::new(128), UpdateConfig::default());
         mgr.ingest_batch(
             (0..20)
@@ -1827,7 +1944,7 @@ mod tests {
         // deleting batch's level consolidates. The tombstone has to survive
         // the merge while any older live instance still touches the id.
         let mut rng = ChaCha20Rng::seed_from_u64(10);
-        let mut mgr = manager(2);
+        let mgr = manager(2);
         mgr.ingest_batch(vec![UpdateEntry::insert(1, 10)], &mut rng);
         mgr.ingest_batch(vec![UpdateEntry::insert(2, 20)], &mut rng);
         // Level 0 consolidated into instance A = {1, 2} at level 1.
@@ -1857,7 +1974,7 @@ mod tests {
         // Same resurrection scenario through the modify path: the old value
         // must stay dead once the modifying batch consolidates.
         let mut rng = ChaCha20Rng::seed_from_u64(11);
-        let mut mgr = manager(2);
+        let mgr = manager(2);
         mgr.ingest_batch(vec![UpdateEntry::insert(7, 10)], &mut rng);
         mgr.ingest_batch(vec![UpdateEntry::insert(8, 11)], &mut rng);
         mgr.ingest_batch(vec![UpdateEntry::modify(7, 200)], &mut rng);
@@ -1877,8 +1994,8 @@ mod tests {
         // across ingestion and consolidation.
         let mut rng_a = ChaCha20Rng::seed_from_u64(9);
         let mut rng_b = ChaCha20Rng::seed_from_u64(9);
-        let mut plain = manager(3);
-        let mut sharded = LogManager::new(
+        let plain = manager(3);
+        let sharded = LogManager::new(
             Domain::new(256),
             UpdateConfig {
                 consolidation_step: 3,
@@ -1911,7 +2028,7 @@ mod tests {
     #[should_panic(expected = "outside domain")]
     fn out_of_domain_update_is_rejected() {
         let mut rng = ChaCha20Rng::seed_from_u64(8);
-        let mut mgr = manager(4);
+        let mgr = manager(4);
         mgr.ingest_batch(vec![UpdateEntry::insert(1, 10_000)], &mut rng);
     }
 
@@ -1925,8 +2042,8 @@ mod tests {
         let root = TempDir::new("persist-eq");
         let mut rng_a = ChaCha20Rng::seed_from_u64(12);
         let mut rng_b = ChaCha20Rng::seed_from_u64(12);
-        let mut in_memory = manager(3);
-        let mut on_disk = LogManager::new(
+        let in_memory = manager(3);
+        let on_disk = LogManager::new(
             Domain::new(256),
             UpdateConfig {
                 consolidation_step: 3,
@@ -1961,7 +2078,7 @@ mod tests {
     fn consolidation_removes_superseded_instance_directories() {
         let root = TempDir::new("persist-gc");
         let mut rng = ChaCha20Rng::seed_from_u64(13);
-        let mut mgr = LogManager::new(
+        let mgr = LogManager::new(
             Domain::new(256),
             UpdateConfig {
                 consolidation_step: 2,
@@ -2002,7 +2119,7 @@ mod tests {
         let instance_dir = root.path().join("instance-00000000");
         std::fs::create_dir_all(instance_dir.join("shard-00000.shd")).unwrap();
         let mut rng = ChaCha20Rng::seed_from_u64(15);
-        let mut mgr = LogManager::new(
+        let mgr = LogManager::new(
             Domain::new(256),
             UpdateConfig {
                 consolidation_step: 2,
@@ -2034,7 +2151,7 @@ mod tests {
         let file_path = root.path().join("not-a-dir");
         std::fs::write(&file_path, b"occupied").unwrap();
         let mut rng = ChaCha20Rng::seed_from_u64(14);
-        let mut mgr = LogManager::new(
+        let mgr = LogManager::new(
             Domain::new(256),
             UpdateConfig {
                 consolidation_step: 2,

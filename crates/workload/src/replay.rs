@@ -15,9 +15,9 @@
 //! * [`ResilientTarget`] — query-only replay against a
 //!   [`ResilientServer`], trapdoors computed by a caller-supplied closure;
 //! * [`ManagedTarget`] — mixed query + insert replay against an
-//!   [`UpdateManager`], queries under a shared retry policy, inserts
-//!   serialized through a write lock (the owner is single-writer by
-//!   design).
+//!   [`UpdateManager`], queries under a shared retry policy on pinned
+//!   snapshots, inserts applied by the manager's own serialized writer
+//!   (queries never wait for them).
 //!
 //! Every worker keeps its own [`LatencyHistogram`] and per-tenant counters;
 //! the engine merges them at the end, so the mergeability property the
@@ -33,7 +33,7 @@ use rsse_serve::{ResilientServer, RetryPolicy, ServeError, ServeIndex, SystemClo
 use rsse_sse::SearchToken;
 use rsse_updates::{UpdateEntry, UpdateManager};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How a replayed query ended, bucketing [`ServeError`] variants into the
@@ -121,12 +121,12 @@ where
     }
 }
 
-/// Mixed query + insert adapter over an [`UpdateManager`]: queries take a
-/// read lock and run under one shared [`RetryPolicy`]; insert batches take
-/// the write lock (the manager is a single-writer owner object, so the
-/// trace's insert stream is serialized exactly as a real owner would).
+/// Mixed query + insert adapter over an [`UpdateManager`]: queries run
+/// under one shared [`RetryPolicy`] against the manager's published
+/// snapshot, and insert batches go straight to the manager, which
+/// serializes its writers and never makes a query wait for one.
 pub struct ManagedTarget<S: RangeScheme> {
-    manager: RwLock<UpdateManager<S>>,
+    manager: UpdateManager<S>,
     policy: RetryPolicy,
     clock: SystemClock,
     rng: Mutex<ChaCha20Rng>,
@@ -137,7 +137,7 @@ impl<S: RangeScheme> ManagedTarget<S> {
     /// ingest encryption RNG.
     pub fn new(manager: UpdateManager<S>, policy: RetryPolicy, seed: u64) -> Self {
         Self {
-            manager: RwLock::new(manager),
+            manager,
             policy,
             clock: SystemClock::new(),
             rng: Mutex::new(ChaCha20Rng::seed_from_u64(seed)),
@@ -147,12 +147,12 @@ impl<S: RangeScheme> ManagedTarget<S> {
     /// Unwraps the manager (for post-replay inspection or cold-start
     /// persistence checks).
     pub fn into_inner(self) -> UpdateManager<S> {
-        self.manager.into_inner().expect("manager lock poisoned")
+        self.manager
     }
 
-    /// Runs `f` against the manager under the read lock.
+    /// Runs `f` against the manager.
     pub fn with_manager<T>(&self, f: impl FnOnce(&UpdateManager<S>) -> T) -> T {
-        f(&self.manager.read().expect("manager lock poisoned"))
+        f(&self.manager)
     }
 }
 
@@ -164,14 +164,16 @@ where
         // Storage failures are retried whole-query under the shared policy:
         // manager-side refinement folds every instance's results together,
         // so per-probe retry (`ResilientServer`) does not apply here.
-        let manager = self.manager.read().expect("manager lock poisoned");
-        QueryFate::of_serve(&self.policy.run(&self.clock, || manager.try_query(range)))
+        QueryFate::of_serve(
+            &self
+                .policy
+                .run(&self.clock, || self.manager.try_query(range)),
+        )
     }
 
     fn insert(&self, entries: &[UpdateEntry]) -> bool {
-        let mut manager = self.manager.write().expect("manager lock poisoned");
         let mut rng = self.rng.lock().expect("ingest rng poisoned");
-        manager
+        self.manager
             .try_ingest_batch(entries.to_vec(), &mut *rng)
             .is_ok()
     }

@@ -49,7 +49,7 @@ fn main() {
         // schemes that can't merge structurally fall back to rebuilds.
         consolidation_mode: ConsolidationMode::Structural,
     };
-    let mut manager: UpdateManager<LogScheme> =
+    let manager: UpdateManager<LogScheme> =
         UpdateManager::with_key(key.clone(), domain, config.clone());
 
     println!("ingesting 20 nightly batches (consolidation step s = 4, structural merges)\n");
@@ -141,7 +141,7 @@ fn main() {
         instances_before,
         root.display()
     );
-    let mut manager: UpdateManager<LogScheme> =
+    let manager: UpdateManager<LogScheme> =
         UpdateManager::open_root(key, &root, config).expect("reopen from the storage root");
     assert_eq!(manager.active_instances(), instances_before);
     for (&(lo, hi), expected) in check_ranges.iter().zip(&pre_restart) {

@@ -80,7 +80,7 @@ fn batch_entries(seed: u64, b: u64) -> Vec<UpdateEntry> {
     entries
 }
 
-fn drive(manager: &mut LogManager, seed: u64, batches: u64) {
+fn drive(manager: &LogManager, seed: u64, batches: u64) {
     for b in 0..batches {
         let mut rng = ChaCha20Rng::seed_from_u64(seed * 10_000 + b);
         manager.ingest_batch(batch_entries(seed, b), &mut rng);
@@ -124,7 +124,7 @@ fn structural_answers_match_rebuild_across_seeds_backends_and_layouts() {
             for backend in [Backend::InMemory, Backend::OnDiskBudgeted] {
                 let root_s = TempDir::new("diff-structural");
                 let root_r = TempDir::new("diff-rebuild");
-                let mut structural = LogManager::with_key(
+                let structural = LogManager::with_key(
                     owner_key(),
                     Domain::new(DOMAIN),
                     config(
@@ -134,7 +134,7 @@ fn structural_answers_match_rebuild_across_seeds_backends_and_layouts() {
                         ConsolidationMode::Structural,
                     ),
                 );
-                let mut rebuild = LogManager::with_key(
+                let rebuild = LogManager::with_key(
                     owner_key(),
                     Domain::new(DOMAIN),
                     config(
@@ -184,7 +184,7 @@ fn structural_outcomes_are_backend_invariant() {
     let seed = 9u64;
     for shard_bits in [0u32, 2] {
         let root = TempDir::new("backend-inv");
-        let mut in_memory = LogManager::with_key(
+        let in_memory = LogManager::with_key(
             owner_key(),
             Domain::new(DOMAIN),
             config(
@@ -194,7 +194,7 @@ fn structural_outcomes_are_backend_invariant() {
                 ConsolidationMode::Structural,
             ),
         );
-        let mut on_disk = LogManager::with_key(
+        let on_disk = LogManager::with_key(
             owner_key(),
             Domain::new(DOMAIN),
             config(
@@ -204,8 +204,8 @@ fn structural_outcomes_are_backend_invariant() {
                 ConsolidationMode::Structural,
             ),
         );
-        drive(&mut in_memory, seed, 9);
-        drive(&mut on_disk, seed, 9);
+        drive(&in_memory, seed, 9);
+        drive(&on_disk, seed, 9);
         assert!(on_disk.structural_consolidations() > 0);
         for range in query_mix() {
             assert_eq!(
@@ -233,8 +233,8 @@ fn structural_root_reopens_byte_identically_and_keeps_ingesting() {
         2,
         ConsolidationMode::Structural,
     );
-    let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-    drive(&mut manager, seed, 10);
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    drive(&manager, seed, 10);
     assert!(manager.structural_consolidations() > 0);
     let reference: Vec<QueryOutcome> = query_mix()
         .into_iter()
@@ -247,7 +247,7 @@ fn structural_root_reopens_byte_identically_and_keeps_ingesting() {
     );
     drop(manager);
 
-    let mut reopened = LogManager::open_root(owner_key(), root.path(), cfg).unwrap();
+    let reopened = LogManager::open_root(owner_key(), root.path(), cfg).unwrap();
     let replayed: Vec<QueryOutcome> = query_mix()
         .into_iter()
         .map(|range| reopened.try_query(range).unwrap())
@@ -304,9 +304,9 @@ fn structural_merges_neither_decrypt_nor_reencrypt_payloads() {
             consolidation_step: step,
             ..config(Backend::OnDiskBudgeted, root.path(), 2, mode)
         };
-        let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg);
+        let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg);
         let (enc0, dec0) = (encrypt_call_count(), decrypt_call_count());
-        drive(&mut manager, seed, batches);
+        drive(&manager, seed, batches);
         deltas.push((encrypt_call_count() - enc0, decrypt_call_count() - dec0));
         if step > 0 {
             assert!(manager.consolidations() > 0);
@@ -375,7 +375,7 @@ fn compacted_sidecars_stay_bounded_by_live_ids_across_rounds() {
             ConsolidationMode::Structural,
         )
     };
-    let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg);
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg);
     let per_batch = 8u64;
     let mut raw_log_entries = 0u64;
     let mut max_total_sidecar = 0u64;

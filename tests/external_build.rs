@@ -250,7 +250,7 @@ fn budgeted_manager_consolidations_stay_byte_identical() {
         consolidation_mode: rsse::updates::ConsolidationMode::default(),
     };
     let drive = |cfg: UpdateConfig| -> UpdateManager<LogScheme> {
-        let mut manager = UpdateManager::with_key(key.clone(), domain, cfg);
+        let manager = UpdateManager::with_key(key.clone(), domain, cfg);
         let mut rng = ChaCha20Rng::seed_from_u64(31);
         for batch in 0..6u64 {
             let entries: Vec<UpdateEntry> = (0..40u64)

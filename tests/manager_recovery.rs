@@ -76,7 +76,7 @@ fn batch_rng(b: u64) -> ChaCha20Rng {
     ChaCha20Rng::seed_from_u64(1_000 + b)
 }
 
-fn ingest(manager: &mut LogManager, batches: std::ops::Range<u64>) {
+fn ingest(manager: &LogManager, batches: std::ops::Range<u64>) {
     for b in batches {
         manager.ingest_batch(batch_entries(b), &mut batch_rng(b));
     }
@@ -117,8 +117,8 @@ fn instance_dirs(root: &Path) -> usize {
 fn reopen_answers_byte_identically_on_every_backend() {
     let root = TempDir::new("reopen-eq");
     let cfg = config(root.path());
-    let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-    ingest(&mut manager, 0..7); // 7 batches at s = 3: consolidations ran
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    ingest(&manager, 0..7); // 7 batches at s = 3: consolidations ran
     assert!(manager.consolidations() > 0);
     let reference = fingerprint(&manager);
     drop(manager); // the process "dies" cleanly
@@ -169,16 +169,16 @@ fn reopen_answers_byte_identically_on_every_backend() {
 fn reopened_manager_keeps_ingesting_like_the_uninterrupted_one() {
     let root = TempDir::new("reopen-continue");
     let cfg = config(root.path());
-    let mut reference = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-    ingest(&mut reference, 0..9);
+    let reference = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    ingest(&reference, 0..9);
 
     let other_root = TempDir::new("reopen-continue-b");
     let other_cfg = config(other_root.path());
-    let mut victim = LogManager::with_key(owner_key(), Domain::new(DOMAIN), other_cfg.clone());
-    ingest(&mut victim, 0..5);
+    let victim = LogManager::with_key(owner_key(), Domain::new(DOMAIN), other_cfg.clone());
+    ingest(&victim, 0..5);
     drop(victim);
-    let mut reopened = LogManager::open_root(owner_key(), other_root.path(), other_cfg).unwrap();
-    ingest(&mut reopened, 5..9);
+    let reopened = LogManager::open_root(owner_key(), other_root.path(), other_cfg).unwrap();
+    ingest(&reopened, 5..9);
 
     assert_eq!(fingerprint(&reopened), fingerprint(&reference));
     // The healed root stays reopenable after the post-restart ingests.
@@ -196,15 +196,13 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
     // Reference states: after 2 batches (the crashed ingest rolled back)
     // and after 3 batches (the crashed ingest rolled forward).
     let ref_root_a = TempDir::new("kill-ref-a");
-    let mut ref_a =
-        LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(ref_root_a.path()));
-    ingest(&mut ref_a, 0..2);
+    let ref_a = LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(ref_root_a.path()));
+    ingest(&ref_a, 0..2);
     let rolled_back = fingerprint(&ref_a);
 
     let ref_root_b = TempDir::new("kill-ref-b");
-    let mut ref_b =
-        LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(ref_root_b.path()));
-    ingest(&mut ref_b, 0..3);
+    let ref_b = LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(ref_root_b.path()));
+    ingest(&ref_b, 0..3);
     assert_eq!(ref_b.consolidations(), 1, "batch 2 trips the merge");
     let rolled_forward = fingerprint(&ref_b);
 
@@ -230,8 +228,8 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
     ] {
         let root = TempDir::new("kill-point");
         let cfg = config(root.path());
-        let mut victim = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-        ingest(&mut victim, 0..2);
+        let victim = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+        ingest(&victim, 0..2);
         victim
             .try_ingest_batch_kill_at(batch_entries(2), &mut batch_rng(2), kill)
             .expect("the simulated kill is not a storage failure");
@@ -249,8 +247,7 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
         // Rolled back: re-driving the interrupted batch converges with the
         // uninterrupted manager, byte for byte.
         if kill == KillPoint::AfterBatchBuild {
-            let mut reopened = reopened;
-            ingest(&mut reopened, 2..3);
+            ingest(&reopened, 2..3);
             assert_eq!(&fingerprint(&reopened), &rolled_forward);
         }
     }
@@ -266,11 +263,10 @@ fn kill_between_index_and_manifest_commit_heals_on_reopen() {
 #[test]
 fn kill_inside_the_consolidation_commit_rolls_back_and_sweeps_debris() {
     let ref_root = TempDir::new("ckill-ref");
-    let mut reference =
-        LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(ref_root.path()));
-    ingest(&mut reference, 0..2);
+    let reference = LogManager::with_key(owner_key(), Domain::new(DOMAIN), config(ref_root.path()));
+    ingest(&reference, 0..2);
     let rolled_back = fingerprint(&reference);
-    ingest(&mut reference, 2..3);
+    ingest(&reference, 2..3);
     let rolled_forward = fingerprint(&reference);
 
     for (kill, label) in [
@@ -279,8 +275,8 @@ fn kill_inside_the_consolidation_commit_rolls_back_and_sweeps_debris() {
     ] {
         let root = TempDir::new("ckill");
         let cfg = config(root.path());
-        let mut victim = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-        ingest(&mut victim, 0..2);
+        let victim = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+        ingest(&victim, 0..2);
         victim
             .try_ingest_batch_kill_at(batch_entries(2), &mut batch_rng(2), kill)
             .expect("the simulated kill is not a storage failure");
@@ -316,8 +312,7 @@ fn kill_inside_the_consolidation_commit_rolls_back_and_sweeps_debris() {
 
         // Re-driving the interrupted batch converges with the
         // uninterrupted manager, byte for byte.
-        let mut reopened = reopened;
-        ingest(&mut reopened, 2..3);
+        ingest(&reopened, 2..3);
         assert_eq!(&fingerprint(&reopened), &rolled_forward, "{label} re-drive");
     }
 }
@@ -326,8 +321,8 @@ fn kill_inside_the_consolidation_commit_rolls_back_and_sweeps_debris() {
 fn half_built_instance_directories_are_swept_on_reopen() {
     let root = TempDir::new("half-built");
     let cfg = config(root.path());
-    let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-    ingest(&mut manager, 0..2);
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    ingest(&manager, 0..2);
     let reference = fingerprint(&manager);
     drop(manager);
 
@@ -342,12 +337,98 @@ fn half_built_instance_directories_are_swept_on_reopen() {
     assert!(!junk.exists(), "the half-built directory must be swept");
 }
 
+/// Copies every instance directory under `from` into `to` (recursively).
+fn copy_instance_dirs(from: &Path, to: &Path) {
+    fn copy_tree(from: &Path, to: &Path) {
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let target = to.join(entry.file_name());
+            if entry.path().is_dir() {
+                copy_tree(&entry.path(), &target);
+            } else {
+                fs::copy(entry.path(), target).unwrap();
+            }
+        }
+    }
+    for entry in fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        if entry.path().is_dir() {
+            copy_tree(&entry.path(), &to.join(entry.file_name()));
+        }
+    }
+}
+
+#[test]
+fn late_gc_leftovers_are_swept_not_readopted() {
+    // A merge removes its inputs' directories best effort. When that
+    // removal fails, a level-1 instance that a later level-2 merge already
+    // consumed survives on disk, unreferenced. Reopen must sweep it like
+    // any late-GC leftover rather than roll it forward as a fresh
+    // consolidation, which would resurrect tuples the merge purged (batch
+    // 6 deletes id 51) and inflate the instance and consolidation counts.
+    let root = TempDir::new("late-gc");
+    let saved = TempDir::new("late-gc-saved");
+    let cfg = config(root.path());
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    // s = 3: batches 0..8 leave two level-1 instances and two batches.
+    ingest(&manager, 0..8);
+    copy_instance_dirs(root.path(), saved.path());
+    // Batch 8 cascades: level 0 merges into level 1, which merges into a
+    // single level-2 instance, and every input directory is removed.
+    ingest(&manager, 8..9);
+    let reference = fingerprint(&manager);
+    assert_eq!(reference.1, 1, "the cascade leaves one active instance");
+    drop(manager);
+
+    // The removals "failed": the consumed directories are back.
+    copy_instance_dirs(saved.path(), root.path());
+    assert_eq!(instance_dirs(root.path()), 5);
+
+    let reopened = LogManager::open_root(owner_key(), root.path(), cfg).unwrap();
+    assert_eq!(fingerprint(&reopened), reference);
+    assert_eq!(
+        instance_dirs(root.path()),
+        1,
+        "every leftover directory must be swept"
+    );
+}
+
+#[test]
+fn kill_after_a_cascades_upper_merge_rolls_it_forward() {
+    // Batch 8 cascades: the level-0 merge commits and removes its inputs,
+    // then the level-1 merge commits and removes its own, including the
+    // level-0 merge's output. A kill before the manifest write leaves the
+    // level-2 instance as the only directory under a manifest that still
+    // references the removed batches and level-1 instances. Reopen must
+    // roll the level-2 merge forward over both levels below it.
+    let root = TempDir::new("cascade-kill");
+    let cfg = config(root.path());
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    ingest(&manager, 0..8);
+    let stale = fs::read(root.path().join(MANAGER_MANIFEST_FILE)).unwrap();
+    ingest(&manager, 8..9);
+    let reference = fingerprint(&manager);
+    drop(manager);
+    fs::write(root.path().join(MANAGER_MANIFEST_FILE), stale).unwrap();
+
+    let reopened = LogManager::open_root(owner_key(), root.path(), cfg).unwrap();
+    let healed = fingerprint(&reopened);
+    // Answers, active instances and batches match. The consolidation
+    // count is not compared: the level-0 merge left no record once the
+    // level-1 merge removed its directory.
+    assert_eq!(healed.0, reference.0);
+    assert_eq!(healed.1, reference.1);
+    assert_eq!(healed.2, reference.2);
+    assert_eq!(instance_dirs(root.path()), 1);
+}
+
 #[test]
 fn manifest_corruption_battery_rejects_typed() {
     let root = TempDir::new("manifest-corrupt");
     let cfg = config(root.path());
-    let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-    ingest(&mut manager, 0..2);
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    ingest(&manager, 0..2);
     drop(manager);
     let manifest_path = root.path().join(MANAGER_MANIFEST_FILE);
     let valid = fs::read(&manifest_path).unwrap();
@@ -439,8 +520,8 @@ fn manifest_corruption_battery_rejects_typed() {
 fn missing_instance_dir_without_superseding_merge_fails_typed() {
     let root = TempDir::new("missing-instance");
     let cfg = config(root.path());
-    let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-    ingest(&mut manager, 0..2);
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    ingest(&manager, 0..2);
     drop(manager);
 
     // Remove a referenced instance directory outright: no committed
@@ -464,8 +545,8 @@ fn missing_instance_dir_without_superseding_merge_fails_typed() {
 fn foreign_or_stale_sidecars_are_rejected_typed() {
     let root = TempDir::new("foreign-sidecar");
     let cfg = config(root.path());
-    let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
-    ingest(&mut manager, 0..2);
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg.clone());
+    ingest(&manager, 0..2);
     drop(manager);
 
     // Swap the two instances' owner sidecars: each directory now carries a
@@ -501,8 +582,8 @@ fn open_manager_root_stands_up_one_server_per_instance() {
         consolidation_step: 0, // keep every batch a separate instance
         ..config(root.path())
     };
-    let mut manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg);
-    ingest(&mut manager, 0..3);
+    let manager = LogManager::with_key(owner_key(), Domain::new(DOMAIN), cfg);
+    ingest(&manager, 0..3);
     let total_entries = manager.index_stats().entries;
     drop(manager);
 
@@ -532,7 +613,7 @@ fn src_i_manager_reopens_through_its_two_index_layout() {
         build_budget: None,
         consolidation_mode: consolidation_mode(),
     };
-    let mut manager: UpdateManager<LogSrcIScheme> =
+    let manager: UpdateManager<LogSrcIScheme> =
         UpdateManager::with_key(owner_key(), Domain::new(128), cfg.clone());
     let mut rng = ChaCha20Rng::seed_from_u64(3);
     manager.ingest_batch(

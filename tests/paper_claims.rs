@@ -198,7 +198,7 @@ fn update_manager_behaviour_matches_section7() {
 
     let mut rng = ChaCha20Rng::seed_from_u64(19);
     let domain = Domain::new(1 << 12);
-    let mut manager: UpdateManager<LogScheme> = UpdateManager::new(
+    let manager: UpdateManager<LogScheme> = UpdateManager::new(
         domain,
         UpdateConfig {
             consolidation_step: 3,
